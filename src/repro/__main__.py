@@ -8,9 +8,9 @@ rq1             Merkle-root correctness sweep
 ablation        DMVCC feature ablation
 analyze FILE    compile a Minisol file and print its P-SAG
 verify          differential fuzzing under the serializability oracle
-soak            long-running adversarial soak with crash injection
 serve           streaming block pipeline: mempool ingestion, fee ordering,
-                backpressure, overlapped execute/seal/persist
+                backpressure, overlapped execute/seal/persist, optional
+                crash injection and compaction
 profile         event-traced execution: Chrome trace + wait decomposition
 db              inspect/maintain a durable node store (stats, fsck, compact)
 """
@@ -129,27 +129,11 @@ def cmd_verify(args) -> int:
     serializability oracle; exits non-zero on any divergence."""
     from .verify import DifferentialFuzzer
 
-    if (args.fuzz <= 0 and args.crash_recovery <= 0 and not args.substrate
-            and args.shards <= 0):
+    if args.fuzz <= 0 and args.crash_recovery <= 0 and not args.substrate:
         print("verify: need --fuzz N > 0, --crash-recovery N > 0, "
-              "--substrate, and/or --shards N", file=sys.stderr)
+              "and/or --substrate", file=sys.stderr)
         return 2
     exit_code = 0
-    if args.shards > 0:
-        from .verify.shard import run_shard_verify
-
-        shard_report = run_shard_verify(
-            shards=args.shards,
-            scenarios=[s.strip() for s in args.scenarios.split(",")
-                       if s.strip() and s.strip() != "all"] or None,
-            txs_per_block=args.txs_per_block,
-            seed=args.seed & 0xFFFF,
-            progress=(lambda line: print(line, file=sys.stderr))
-            if args.progress else None,
-        )
-        print(shard_report.render())
-        if not shard_report.ok:
-            exit_code = 1
     if args.substrate:
         from .verify import run_substrate_verify
 
@@ -273,50 +257,6 @@ def _write_verify_artifacts(directory: str, fuzzer, report) -> None:
     print(f"verify: artifacts written to {directory}", file=sys.stderr)
 
 
-def cmd_soak(args) -> int:
-    """Run the long-running adversarial soak: scenario traffic through the
-    validator over the durable engine with online oracle + root-parity
-    invariants, mid-stream crash injection, and periodic compaction."""
-    from .soak import run_soak
-    from .workload.scenarios import SCENARIOS
-
-    if args.scenario not in SCENARIOS:
-        print(
-            f"soak: unknown scenario {args.scenario!r} "
-            f"(choose from {', '.join(SCENARIOS)})",
-            file=sys.stderr,
-        )
-        return 2
-    overrides = dict(
-        users=args.users,
-        erc20_tokens=args.tokens,
-        dex_pools=args.pools,
-        nft_collections=args.nfts,
-        icos=2,
-    )
-    report = run_soak(
-        blocks=args.blocks,
-        txs_per_block=args.txs,
-        crashes=args.crashes,
-        backend=args.backend,
-        scenario=args.scenario,
-        scheduler=args.scheduler,
-        threads=args.workers,
-        seed=args.seed,
-        compact_every=args.compact_every,
-        checkpoint_every=args.checkpoint_every,
-        durable_dir=args.dir or None,
-        workload_overrides=overrides,
-        progress=(lambda line: print(line, file=sys.stderr))
-        if args.progress else None,
-        report_path=args.report or None,
-    )
-    print(report.render())
-    if args.report:
-        print(f"soak: report written to {args.report}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def cmd_serve(args) -> int:
     """Stream scenario traffic through the full block pipeline: mempool
     admission with backpressure, fee-ordered packing, and overlapped
@@ -339,28 +279,34 @@ def cmd_serve(args) -> int:
         nft_collections=args.nfts,
         icos=2,
     )
-    report = run_serve(
-        blocks=args.blocks,
-        txs_per_block=args.txs,
-        scenario=args.scenario,
-        scheduler=args.scheduler,
-        threads=args.workers,
-        seed=args.seed,
-        backend=args.backend,
-        max_inflight=args.max_inflight,
-        pool_size=args.pool_size or None,
-        min_fee=args.min_fee,
-        per_sender_cap=args.sender_cap,
-        check=args.check,
-        fsync_delay=args.fsync_delay / 1e3,
-        durable_dir=args.dir or None,
-        workload_overrides=overrides,
-        profile_db=args.profile_db or None,
-        progress=(lambda line: print(line, file=sys.stderr))
-        if args.progress else None,
-        progress_every=args.checkpoint_every,
-        report_path=args.report or None,
-    )
+    try:
+        report = run_serve(
+            blocks=args.blocks,
+            txs_per_block=args.txs,
+            scenario=args.scenario,
+            scheduler=args.scheduler,
+            threads=args.workers,
+            seed=args.seed,
+            backend=args.backend,
+            max_inflight=args.max_inflight,
+            pool_size=args.pool_size or None,
+            min_fee=args.min_fee,
+            per_sender_cap=args.sender_cap,
+            check=args.check,
+            crashes=args.crashes,
+            compact_every=args.compact_every,
+            fsync_delay=args.fsync_delay / 1e3,
+            durable_dir=args.dir or None,
+            workload_overrides=overrides,
+            profile_db=args.profile_db or None,
+            progress=(lambda line: print(line, file=sys.stderr))
+            if args.progress else None,
+            progress_every=args.checkpoint_every,
+            report_path=args.report or None,
+        )
+    except ValueError as error:
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
     print(report.render())
     if args.report:
         print(f"serve: report written to {args.report}", file=sys.stderr)
@@ -459,11 +405,6 @@ def main(argv=None) -> int:
                              "the real threads and processes backends and "
                              "assert receipts/writes/roots byte-identical "
                              "to the discrete-event simulator")
-    verify.add_argument("--shards", type=int, default=0, metavar="N",
-                        help="run the sharded-execution parity sweep with N "
-                             "shards: every scenario preset × substrate "
-                             "backend, sharded DMVCC vs the serial "
-                             "reference, plain and merge-declared")
     verify.add_argument("--substrate-workers", type=int, default=3,
                         metavar="N",
                         help="worker count for the --substrate sweep "
@@ -476,43 +417,6 @@ def main(argv=None) -> int:
                         help="write oracle report + per-divergence event "
                              "traces here (for CI artifact upload)")
     verify.set_defaults(func=cmd_verify)
-
-    soak = sub.add_parser(
-        "soak", help="long-running adversarial soak: online oracle + root "
-                     "parity + crash-recovery over the durable engine"
-    )
-    soak.add_argument("--blocks", type=int, default=1_000,
-                      help="blocks to stream (default 1000)")
-    soak.add_argument("--txs", type=int, default=64,
-                      help="transactions per block (default 64)")
-    soak.add_argument("--crashes", type=int, default=3,
-                      help="mid-stream crash injections (default 3; "
-                           "requires --backend durable)")
-    soak.add_argument("--backend", choices=["memory", "durable"],
-                      default="durable")
-    soak.add_argument("--scenario", default="mix",
-                      help="scenario preset, or 'mix' to rotate over all "
-                           "of them (default mix)")
-    soak.add_argument("--scheduler", default="dmvcc",
-                      choices=["serial", "occ", "dag", "dmvcc", "sharded"])
-    soak.add_argument("--workers", type=int, default=8,
-                      help="simulated threads (default 8)")
-    soak.add_argument("--seed", type=int, default=2023)
-    soak.add_argument("--compact-every", type=int, default=50,
-                      help="compact the durable store every N blocks "
-                           "(default 50; 0 disables)")
-    soak.add_argument("--checkpoint-every", type=int, default=25,
-                      help="sample trend metrics every N blocks (default 25)")
-    soak.add_argument("--users", type=int, default=400,
-                      help="workload users (default 400)")
-    soak.add_argument("--dir", default="",
-                      help="pin the durable store to this directory "
-                           "(kept afterwards; default: temp dir)")
-    soak.add_argument("--report", default="", metavar="PATH",
-                      help="write the stamped JSON soak report here")
-    soak.add_argument("--progress", action="store_true",
-                      help="print checkpoint lines to stderr")
-    soak.set_defaults(func=cmd_soak)
 
     serve = sub.add_parser(
         "serve", help="streaming block pipeline: mempool ingestion, fee "
@@ -527,7 +431,7 @@ def main(argv=None) -> int:
                        help="scenario preset, or 'mix' to rotate over all "
                             "of them (default mix)")
     serve.add_argument("--scheduler", default="dmvcc",
-                       choices=["serial", "occ", "dag", "dmvcc", "sharded"])
+                       choices=["serial", "occ", "dag", "dmvcc"])
     serve.add_argument("--profile-db", default="", metavar="PATH",
                        help="persist the lane planner's learned conflict "
                             "profiles here (loaded on start when present, "
@@ -549,6 +453,13 @@ def main(argv=None) -> int:
     serve.add_argument("--check", action="store_true",
                        help="keep the serializability oracle and the "
                             "root-parity twin engaged while streaming")
+    serve.add_argument("--crashes", type=int, default=0,
+                       help="mid-stream crash injections, each followed by "
+                            "recovery and a byte-identity check (default 0; "
+                            "requires --backend durable and --check)")
+    serve.add_argument("--compact-every", type=int, default=0,
+                       help="compact the durable store every N blocks "
+                            "(default 0: never)")
     serve.add_argument("--fsync-delay", type=float, default=0.0,
                        metavar="MS",
                        help="emulated extra fsync latency in milliseconds "

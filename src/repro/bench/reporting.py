@@ -24,7 +24,9 @@ from ..sim.metrics import BlockMetrics
 # wall-clock numbers from the execution substrates can be interpreted.
 # v3: repro_meta gained sharding provenance (shards, merge_ops) so a
 # sharded or merge-declared result can never be mistaken for a plain run.
-RESULTS_SCHEMA_VERSION = 3
+# v4: sharded execution was removed; repro_meta dropped ``shards`` and
+# keeps ``merge_ops``.
+RESULTS_SCHEMA_VERSION = 4
 
 
 def _git_commit() -> str:
@@ -61,7 +63,6 @@ def _git_commit() -> str:
 
 
 def stamp_results(document: dict, backend: Optional[str] = None,
-                  shards: int = 0,
                   merge_ops: Optional[Sequence[str]] = None) -> dict:
     """Attach the provenance block to a result document, in place.
 
@@ -74,9 +75,9 @@ def stamp_results(document: dict, backend: Optional[str] = None,
     version, the machine's CPU count, and the execution ``backend`` the run
     used (explicit argument, else ``REPRO_SUBSTRATE``, else "sim") — a
     "processes beats threads" result means nothing if the archive doesn't
-    say the box had one core.  Sharded runs additionally record the shard
-    count and the declared merge-operation kinds (sorted, deduplicated):
-    ``shards=0`` / ``merge_ops=[]`` is the unsharded, undeclared baseline.
+    say the box had one core.  Runs with declared merges additionally
+    record the merge-operation kinds (sorted, deduplicated):
+    ``merge_ops=[]`` is the undeclared baseline.
     """
     if backend is None:
         backend = os.environ.get("REPRO_SUBSTRATE", "").strip() or "sim"
@@ -87,7 +88,6 @@ def stamp_results(document: dict, backend: Optional[str] = None,
         "implementation": platform.python_implementation(),
         "cpu_count": os.cpu_count() or 1,
         "backend": backend,
-        "shards": max(0, int(shards)),
         "merge_ops": sorted(set(merge_ops)) if merge_ops else [],
     }
     return document
@@ -95,11 +95,10 @@ def stamp_results(document: dict, backend: Optional[str] = None,
 
 def save_results_json(path: str, payload: dict,
                       backend: Optional[str] = None,
-                      shards: int = 0,
                       merge_ops: Optional[Sequence[str]] = None) -> dict:
     """Write ``payload`` to ``path`` as stamped, indented JSON; returns the
     stamped document."""
-    document = stamp_results(dict(payload), backend=backend, shards=shards,
+    document = stamp_results(dict(payload), backend=backend,
                              merge_ops=merge_ops)
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, default=str)

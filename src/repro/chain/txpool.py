@@ -307,6 +307,17 @@ class TransactionPool:
         self.stats.stale_dropped += dropped
         return dropped
 
+    def restore(self, txs: List[Transaction]) -> None:
+        """Undo :meth:`mark_included` for a packed block that never sealed:
+        lower each sender's nonce floor back to its earliest restored nonce
+        and return the transactions to the pool, bypassing admission (they
+        were admitted once).  Their C-SAGs are rebuilt on the next
+        :meth:`analyse`."""
+        for tx in txs:
+            if self.nonce_tracking:
+                self._floor[tx.sender] = min(self.floor_of(tx.sender), tx.nonce)
+            self.reinsert(PooledTransaction(tx, None, self._next_arrival()))
+
     # ------------------------------------------------------------------
     # Analysis & retrieval
     # ------------------------------------------------------------------

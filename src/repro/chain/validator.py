@@ -171,27 +171,6 @@ class Validator:
         self.planner.profiles.save(self.profile_path)
         return True
 
-    def adopt_statedb(self, statedb: StateDB) -> None:
-        """Swap in a recovered StateDB and keep proposing from it.
-
-        Used by the soak harness after a crash-recovery cycle: the durable
-        store is reopened (log replayed, torn tail truncated) as a *new*
-        StateDB, and the validator resumes on it.  The recovered chain must
-        line up with the headers this validator already sealed — adopting a
-        store that lost sealed blocks would silently fork the chain.
-        """
-        if self.chain and statedb.height != self.chain[-1].number:
-            raise InvalidBlock(
-                f"{self.name}: recovered store is at height {statedb.height} "
-                f"but the chain head is block {self.chain[-1].number}"
-            )
-        if self.chain and statedb.latest.root_hash != self.chain[-1].state_root:
-            raise InvalidBlock(
-                f"{self.name}: recovered root diverges from the sealed "
-                f"head at block {self.chain[-1].number}"
-            )
-        self.db = statedb
-
     # ------------------------------------------------------------------
     # Importing
     # ------------------------------------------------------------------

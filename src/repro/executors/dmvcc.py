@@ -227,9 +227,6 @@ class DMVCCExecutor(Executor):
         self.checkpoint_limit = max(checkpoint_limit, 1)
         self._psag_cache = psag_cache if psag_cache is not None else PSAGCache()
         self._csag_cache = csag_cache if csag_cache is not None else CSAGCache()
-        # Side channel for the sharded executor: the last block's declared
-        # merge activity (guarded reads + intents), see _BlockRun.execute.
-        self.last_merge_activity = None
         if not enable_early_write and not enable_commutative:
             self.name = "dmvcc-wv"  # write-versioning only
         elif not enable_early_write:
@@ -284,10 +281,14 @@ class DMVCCExecutor(Executor):
         ``csags`` supplies pre-built analyses (the validator's pool path);
         when omitted they are refined here against ``snapshot``.
         """
-        # Declared-merge interception lives in the simulator driver; with a
-        # non-empty registry attached the real-substrate coordinator (which
-        # knows nothing about merge specs) is bypassed for correctness.
-        pool = None if self.merges else self._substrate_pool(threads)
+        substrate = self._effective_substrate()
+        if self.merges and substrate is not None and substrate.kind != "sim":
+            # Declared-merge interception lives in the simulator driver; the
+            # real-substrate coordinator knows nothing about merge specs.
+            raise SchedulingError(
+                f"{self.name}: declared merges run only on the sim "
+                f"substrate, not on {substrate.kind!r}")
+        pool = substrate.acquire(threads) if substrate is not None else None
         if pool is not None:
             from ..substrate.coordinator import run_dmvcc_real
             return run_dmvcc_real(self, pool, txs, snapshot, code_resolver,
@@ -479,44 +480,20 @@ class _BlockRun:
         metrics.resumes = sum(t.resumes for t in self.per_tx)
         metrics.revalidation_hits = sum(t.revalidation_hits for t in self.per_tx)
         metrics.wall_time = perf_counter() - wall_start
-        self.ex.last_merge_activity = self._merge_activity()
         if self.merges is not None:
             metrics.merge_tolerated = self.merge_tolerated
-            metrics.merge_intents = len(self.ex.last_merge_activity["intents"])
+            metrics.merge_intents = self._merge_intents()
         return BlockExecution(writes=writes, receipts=receipts, metrics=metrics)
 
-    def _merge_activity(self):
-        """Side channel for the sharded executor's seal validation.
-
-        ``reads`` lists every registered read of a declared key as
-        ``(index, key, observed, own_delta, operand, outcome)`` — operand
-        and outcome are None for records demanding strict value equality —
-        and ``intents`` lists each successful transaction's net delta per
-        declared key.  The cross-shard reducer replays the global-order
-        fold through these to prove (or refute) that sharded guard verdicts
-        match the serial reference.
-        """
-        if self.merges is None:
-            return None
-        reads = []
-        intents = []
-        for s in self.states:
-            for rec in s.read_log:
-                if not rec.registered or self.merges.lookup(rec.key) is None:
-                    continue
-                observed = (rec.base + rec.merge_own) % WORD_MOD
-                if rec.merge_spec is not None and rec.merge_operand is not None:
-                    outcome = rec.merge_spec.outcome(observed, rec.merge_operand)
-                    reads.append((s.index, rec.key, observed, rec.merge_own,
-                                  rec.merge_operand, outcome))
-                else:
-                    reads.append((s.index, rec.key, observed, rec.merge_own,
-                                  None, None))
-            if s.result is not None and s.result.success:
-                for key, delta in s.w_delta.items():
-                    if self.merges.lookup(key) is not None:
-                        intents.append((s.index, key, delta))
-        return {"reads": reads, "intents": intents}
+    def _merge_intents(self) -> int:
+        """Net-delta intents on declared keys logged by successful txs."""
+        return sum(
+            1
+            for s in self.states
+            if s.result is not None and s.result.success
+            for key in s.w_delta
+            if self.merges.lookup(key) is not None
+        )
 
     # ------------------------------------------------------------------
     # Dispatch / stepping

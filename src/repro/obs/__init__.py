@@ -20,7 +20,6 @@ from .events import (
     NULL_BUS,
     ObsEvent,
     SNAPSHOT_WRITER,
-    SoakCheckpoint,
     StageCompleted,
     UNKNOWN_WRITER,
     WorkloadChunkCommitted,
@@ -45,7 +44,7 @@ __all__ = [
     "format_key", "BackpressureChanged", "CommitPersisted", "CommitSealed",
     "CommitStarted", "EventBus", "MempoolEvicted", "MempoolRejected",
     "NullSink", "NULL_BUS", "ObsEvent",
-    "SNAPSHOT_WRITER", "SoakCheckpoint", "StageCompleted", "UNKNOWN_WRITER",
+    "SNAPSHOT_WRITER", "StageCompleted", "UNKNOWN_WRITER",
     "WorkloadChunkCommitted", "build_chrome_trace",
     "chrome_trace_events", "render_gantt_ascii", "write_chrome_trace",
     "CATEGORIES", "EXEC", "LOCK_WAIT", "QUEUE_WAIT", "VERSION_WAIT",

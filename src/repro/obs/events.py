@@ -218,46 +218,6 @@ class MergeTolerated(ObsEvent):
 
 
 # ---------------------------------------------------------------------------
-# Sharded execution (repro.shard)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardPlanned(ObsEvent):
-    """The shard classifier split a block (``tx`` is -1): ``locals_per_shard``
-    counts phase-1 transactions per shard, ``cross`` the phase-2 handoffs."""
-
-    shards: int = 0
-    locals_per_shard: Tuple[int, ...] = ()
-    cross: int = 0
-
-
-@dataclass(frozen=True)
-class HandoffCommitted(ObsEvent):
-    """A cross-shard transaction's phase-2 handoff validated against the
-    merged overlay and committed in global order."""
-
-    requeued: bool = False
-
-
-@dataclass(frozen=True)
-class HandoffRequeued(ObsEvent):
-    """A cross-shard transaction's speculative phase-1 run read values the
-    merged overlay contradicts; it was deterministically re-executed against
-    the overlay.  ``key`` is the first conflicting item."""
-
-    key: Optional[StateKey] = None
-
-
-@dataclass(frozen=True)
-class ShardFallback(ObsEvent):
-    """The sharded executor detected a footprint escape it cannot commit
-    soundly and re-ran the whole block on the unsharded reference path
-    (``tx`` is -1); ``reason`` names the violated invariant."""
-
-    reason: str = ""
-
-
-# ---------------------------------------------------------------------------
 # Incremental re-execution (checkpoint / resume / revalidate)
 # ---------------------------------------------------------------------------
 
@@ -409,22 +369,6 @@ class WorkerCrashed(ObsEvent):
     lost: int = 0
 
 
-@dataclass(frozen=True)
-class SoakCheckpoint(ObsEvent):
-    """Periodic heartbeat of the soak harness (``tx`` is -1): sustained
-    throughput, the abort-rate trend, db growth versus reclaim, and the
-    cost of the online serializability oracle, sampled every reporting
-    interval.  ``crashes`` counts the injected crashes recovered so far."""
-
-    block: int = 0
-    blocks_per_sec: float = 0.0
-    abort_rate: float = 0.0
-    db_bytes: int = 0
-    bytes_reclaimed: int = 0
-    oracle_time: float = 0.0
-    crashes: int = 0
-
-
 class EventBus:
     """Append-only, sequence-numbered sink of :class:`ObsEvent`."""
 
@@ -534,23 +478,6 @@ class EventBus:
     def merge_tolerated(self, ts: float, tx: int, key: StateKey) -> None:
         self.events.append(MergeTolerated(self._next(), ts, tx, key))
 
-    def shard_planned(self, ts: float, shards: int,
-                      locals_per_shard: Tuple[int, ...] = (),
-                      cross: int = 0) -> None:
-        self.events.append(ShardPlanned(
-            self._next(), ts, -1, shards, locals_per_shard, cross))
-
-    def handoff_committed(self, ts: float, tx: int,
-                          requeued: bool = False) -> None:
-        self.events.append(HandoffCommitted(self._next(), ts, tx, requeued))
-
-    def handoff_requeued(self, ts: float, tx: int,
-                         key: Optional[StateKey] = None) -> None:
-        self.events.append(HandoffRequeued(self._next(), ts, tx, key))
-
-    def shard_fallback(self, ts: float, reason: str = "") -> None:
-        self.events.append(ShardFallback(self._next(), ts, -1, reason))
-
     def checkpoint_taken(self, ts: float, tx: int, read_index: int,
                          retained: int) -> None:
         self.events.append(
@@ -613,14 +540,6 @@ class EventBus:
     def worker_crashed(self, ts: float, worker: int, lost: int = 0) -> None:
         self.events.append(WorkerCrashed(self._next(), ts, -1, worker, lost))
 
-    def soak_checkpoint(self, ts: float, block: int,
-                        blocks_per_sec: float = 0.0, abort_rate: float = 0.0,
-                        db_bytes: int = 0, bytes_reclaimed: int = 0,
-                        oracle_time: float = 0.0, crashes: int = 0) -> None:
-        self.events.append(SoakCheckpoint(
-            self._next(), ts, -1, block, blocks_per_sec, abort_rate,
-            db_bytes, bytes_reclaimed, oracle_time, crashes))
-
     def summary(self) -> str:
         counts = {}
         for event in self.events:
@@ -654,10 +573,6 @@ class NullSink(EventBus):
     def early_read(self, *args, **kwargs) -> None: pass
     def commutative_merge(self, *args, **kwargs) -> None: pass
     def merge_tolerated(self, *args, **kwargs) -> None: pass
-    def shard_planned(self, *args, **kwargs) -> None: pass
-    def handoff_committed(self, *args, **kwargs) -> None: pass
-    def handoff_requeued(self, *args, **kwargs) -> None: pass
-    def shard_fallback(self, *args, **kwargs) -> None: pass
     def checkpoint_taken(self, *args, **kwargs) -> None: pass
     def tx_resume(self, *args, **kwargs) -> None: pass
     def revalidation_hit(self, *args, **kwargs) -> None: pass
@@ -670,7 +585,6 @@ class NullSink(EventBus):
     def backpressure_changed(self, *args, **kwargs) -> None: pass
     def stage_completed(self, *args, **kwargs) -> None: pass
     def worker_crashed(self, *args, **kwargs) -> None: pass
-    def soak_checkpoint(self, *args, **kwargs) -> None: pass
 
 
 NULL_BUS = NullSink()

@@ -43,6 +43,7 @@ from ..analysis.sag import PSAGCache
 from ..chain.block import GENESIS_PARENT, Block, BlockHeader, make_block
 from ..chain.transaction import Transaction
 from ..chain.txpool import Packer, PoolStats, TransactionPool
+from ..core.errors import InvalidBlock
 from ..core.types import Address, StateKey
 from ..evm.environment import BlockContext
 from ..executors.base import BlockExecution, Executor
@@ -355,12 +356,10 @@ class PipelinedValidator:
                     timestamp=next_height,
                 ))
                 produced += 1
-                report.blocks += 1
-                report.txs += len(txs)
                 next_height += 1
         finally:
             self._drain()
-            report.elapsed = time.perf_counter() - started
+            report.elapsed += time.perf_counter() - started
             report.pool = self.pool.stats
             report.overlap_seconds = _interval_overlap(
                 self._execute_intervals, self._commit_intervals,
@@ -371,6 +370,32 @@ class PipelinedValidator:
     def close(self) -> None:
         """Stop the commit lane (idempotent); the StateDB stays open."""
         self._drain()
+
+    def adopt_statedb(self, statedb: StateDB) -> None:
+        """Swap in a reopened StateDB and keep producing from it.
+
+        Call between :meth:`run` calls, with the commit lane drained.  The
+        ``serve --crashes`` cycle reopens the durable store under an armed
+        fault plan before a crash block, then cleanly after it (log
+        replayed, torn tail truncated), and the driver resumes on each.
+        The store must line up with the headers this driver already sealed
+        — adopting a store that lost sealed blocks would silently fork the
+        chain.  Executed blocks that never sealed leave the speculative
+        overlay: their writes died with the old handle.
+        """
+        if self.chain and statedb.height != self.chain[-1].number:
+            raise InvalidBlock(
+                f"{self.name}: recovered store is at height {statedb.height} "
+                f"but the chain head is block {self.chain[-1].number}"
+            )
+        if self.chain and statedb.latest.root_hash != self.chain[-1].state_root:
+            raise InvalidBlock(
+                f"{self.name}: recovered root diverges from the sealed "
+                f"head at block {self.chain[-1].number}"
+            )
+        with self._lock:
+            self._pending.clear()
+        self.db = statedb
 
     # ------------------------------------------------------------------
     # Stream-lane stages
@@ -507,15 +532,18 @@ class PipelinedValidator:
     # ------------------------------------------------------------------
 
     def _commit_lane(self) -> None:
+        failed = False
         while True:
             job = self._queue.get()
             if job is _STOP:
                 return
+            if failed:
+                continue  # nothing seals on top of a failed seal
             try:
                 self._seal(job)
             except BaseException as error:  # surfaced on the stream lane
                 self._worker_error = error
-                return
+                failed = True
 
     def _seal(self, job: _SealJob) -> None:
         start = time.perf_counter()
@@ -548,6 +576,8 @@ class PipelinedValidator:
         with self._lock:
             self.chain.append(block.header)
             self.blocks.append(block)
+            self._report.blocks += 1
+            self._report.txs += len(job.txs)
             if job.execution.schedule is not None:
                 self.sidecars[block.number] = BlockSidecar(
                     block.header.block_hash, job.execution.schedule)

@@ -1,7 +1,6 @@
 """``python -m repro serve`` — stream a scenario through the pipeline.
 
-The serving analogue of :mod:`repro.soak`: instead of feeding and
-proposing one block at a time, the scenario generator becomes a continuous
+The scenario generator becomes a continuous
 :class:`~repro.pipeline.source.WorkloadStream` (nonce- and fee-stamped)
 pulled through the full mempool → analyse → pack → execute → seal →
 persist pipeline, with backpressure hysteresis at the front and a bounded
@@ -19,6 +18,17 @@ seal queue in the middle.
   are compared against the twin's root at the same height — byte-for-byte,
   pipelining notwithstanding.
 
+On the durable backend two long-run stresses ride along:
+
+* **crash injection** (``crashes``, needs ``check``) — at scheduled blocks
+  the store is reopened under a :class:`~repro.db.faults.FaultPlan` armed
+  to kill the log mid-append; the crash block is produced, the store is
+  reopened cleanly (log replay, torn-tail truncation), its height and
+  root must equal the twin's, and the crashed block's transactions are
+  re-fed — recovery-and-continue, not recovery-and-stop;
+* **periodic compaction** (``compact_every``) — stale snapshots are pruned
+  on a fixed cadence so db growth versus reclaim shows over the run.
+
 The defaults are sized so backpressure genuinely engages: the stream
 produces faster than a block consumes and the mempool is small enough to
 hit its high watermark within a few blocks.
@@ -26,19 +36,23 @@ hit its high watermark within a few blocks.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..chain.txpool import Packer, TransactionPool
+from ..db.faults import FaultPlan, InjectedCrash
 from ..executors.serial import SerialExecutor
-from ..soak import _executor_for
+from ..state.statedb import StateDB
 from ..verify.oracle import SerializabilityOracle
 from ..verify.trace import TraceRecorder
 from ..workload.generator import Workload
 from ..workload.scenarios import scenario_config
 from .driver import PipelinedValidator, PipelineReport
 from .source import WorkloadStream
+
+DEFAULT_CRASH_WINDOW = 4096  # byte budget ceiling for an injected crash
 
 
 @dataclass
@@ -55,10 +69,21 @@ class ServeReport:
     oracle_time: float = 0.0
     root_parity_checks: int = 0
     root_mismatches: List[str] = field(default_factory=list)
+    crashes_scheduled: int = 0
+    crashes_fired: int = 0
+    crash_survivals: int = 0      # byte budget outlived the append
+    recoveries_ok: int = 0
+    recovery_failures: List[str] = field(default_factory=list)
+    compactions: int = 0
+    bytes_reclaimed: int = 0
 
     @property
     def ok(self) -> bool:
-        return not (self.oracle_violations or self.root_mismatches)
+        return not (
+            self.oracle_violations
+            or self.root_mismatches
+            or self.recovery_failures
+        )
 
     def render(self) -> str:
         lines = [self.pipeline.render()]
@@ -73,10 +98,24 @@ class ServeReport:
                 f"  root parity: {self.root_parity_checks} sealed root(s) "
                 f"checked, {len(self.root_mismatches)} mismatch(es): {verdict}"
             )
+            if self.crashes_scheduled:
+                lines.append(
+                    f"  crashes: {self.crashes_scheduled} scheduled, "
+                    f"{self.crashes_fired} fired mid-append, "
+                    f"{self.crash_survivals} outlived the budget, "
+                    f"{self.recoveries_ok} recovered byte-identical"
+                )
             for detail in (
-                self.oracle_violations[:5] + self.root_mismatches[:5]
+                self.oracle_violations[:5]
+                + self.root_mismatches[:5]
+                + self.recovery_failures[:5]
             ):
                 lines.append(f"    {detail}")
+        if self.compactions:
+            lines.append(
+                f"  compaction: {self.compactions} run(s), "
+                f"{self.bytes_reclaimed} bytes reclaimed"
+            )
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
@@ -93,9 +132,38 @@ class ServeReport:
             "oracle_time_s": round(self.oracle_time, 2),
             "root_parity_checks": self.root_parity_checks,
             "root_mismatches": self.root_mismatches,
+            "recovery_failures": self.recovery_failures,
+        }
+        data["crashes"] = {
+            "scheduled": self.crashes_scheduled,
+            "fired": self.crashes_fired,
+            "survived": self.crash_survivals,
+            "recovered": self.recoveries_ok,
+        }
+        data["compaction"] = {
+            "runs": self.compactions,
+            "bytes_reclaimed": self.bytes_reclaimed,
         }
         data["ok"] = self.ok
         return data
+
+
+def _executor_for(scheduler: str):
+    from ..executors import DAGExecutor, DMVCCExecutor, OCCExecutor
+
+    factories = {
+        "serial": SerialExecutor,
+        "occ": OCCExecutor,
+        "dag": DAGExecutor,
+        "dmvcc": DMVCCExecutor,
+    }
+    try:
+        return factories[scheduler]()
+    except KeyError:
+        raise ValueError(
+            f"unknown scheduler {scheduler!r} "
+            f"(choose from {', '.join(factories)})"
+        ) from None
 
 
 class _RecordingExecutor:
@@ -148,6 +216,8 @@ def run_serve(
     ingest_rate: Optional[int] = None,
     gas_limit: Optional[int] = None,
     check: bool = False,
+    crashes: int = 0,
+    compact_every: int = 0,
     fsync_delay: float = 0.0,
     durable_dir: Optional[str] = None,
     workload_overrides: Optional[Dict] = None,
@@ -166,9 +236,19 @@ def run_serve(
     several packed blocks — so ingest genuinely skips pull cycles, it does
     not just toggle.  ``max_inflight=0`` runs the same loop strictly
     sequentially.
+
+    ``crashes`` schedules that many crash cycles (never on the first two
+    blocks) and needs the durable backend with ``check`` on, since the
+    twin is what recovery is checked against.  ``compact_every`` compacts
+    the durable store after every that many sealed blocks.  The pipeline
+    drains before each crash cycle and each compaction.
     """
     if backend not in ("memory", "durable"):
         raise ValueError(f"unknown backend {backend!r}")
+    if crashes > 0 and (backend != "durable" or not check):
+        raise ValueError(
+            "crash injection needs the durable backend and --check"
+        )
     import shutil
     import tempfile
 
@@ -218,12 +298,21 @@ def run_serve(
     )
     source = WorkloadStream(workload, limit=blocks * txs_per_block)
 
+    rng = random.Random(seed ^ 0x50AC)  # harness-side randomness
+    # A crash lands mid-stream: committed history behind it, traffic ahead.
+    eligible = range(2, max(3, blocks))
+    crash_at = set(rng.sample(eligible, min(crashes, len(eligible))))
     report = ServeReport(
         scenario=scenario, backend=backend, seed=seed, check=check,
+        pipeline=driver._report, crashes_scheduled=len(crash_at),
     )
     serial = SerialExecutor()
     twin_roots: Dict[int, bytes] = {}
     parity_cursor = [0]  # index into driver.chain already compared
+    # During a crash cycle the twin waits for the seal: a block whose
+    # commit crashed never reaches the recovered store, so it must not
+    # reach the twin either.
+    held: Optional[List] = None
 
     def check_sealed_roots() -> None:
         """Compare every newly sealed header against the twin (online —
@@ -244,6 +333,11 @@ def run_serve(
                     f"{header.state_root.hex()[:16]} != twin "
                     f"{expected.hex()[:16]}"
                 )
+
+    def commit_twin(height, writes) -> None:
+        twin.commit(writes)
+        twin_roots[height] = twin.latest.root_hash
+        check_sealed_roots()
 
     def on_block(height, view, txs, execution) -> None:
         if check:
@@ -267,9 +361,10 @@ def run_serve(
                     report.oracle_violations.append(
                         f"block {height}: {divergence}"
                     )
-            twin.commit(execution.writes)
-            twin_roots[height] = twin.latest.root_hash
-            check_sealed_roots()
+            if held is None:
+                commit_twin(height, execution.writes)
+            else:
+                held.append((height, list(txs), execution.writes))
         if progress is not None and height % max(progress_every, 1) == 0:
             progress(
                 f"block {height}/{blocks}: pool {len(driver.pool)}, "
@@ -278,15 +373,95 @@ def run_serve(
                 f"engagement(s)"
             )
 
+    def crash_cycle() -> bool:
+        """Produce one block on a store armed to crash mid-append, then
+        recover, check against the twin, and re-feed a crashed block.
+        Returns False when recovery diverged (the run stops there)."""
+        nonlocal held
+        driver.db.close()
+        budget = rng.randint(1, DEFAULT_CRASH_WINDOW)
+        wounded = StateDB.open(
+            directory, faults=FaultPlan(crash_after_bytes=budget),
+            fsync_delay=fsync_delay,
+        )
+        wounded.codes = twin.codes
+        driver.adopt_statedb(wounded)
+        held = []
+        try:
+            driver.run(source, 1, on_block=on_block)
+            fired = False
+        except InjectedCrash:
+            fired = True
+        attempted, held = held, None
+        if fired:
+            report.crashes_fired += 1
+        else:
+            report.crash_survivals += 1
+            for height, _txs, writes in attempted:
+                commit_twin(height, writes)
+        # Simulated process death: the wounded handle is abandoned unclosed
+        # either way; a clean reopen replays the log and truncates any torn
+        # tail, exactly like a restart after power loss.
+        recovered = StateDB.open(directory, fsync_delay=fsync_delay)
+        recovered.codes = twin.codes
+        number = twin.height + (1 if fired else 0)
+        if recovered.height != twin.height:
+            report.recovery_failures.append(
+                f"block {number}: recovered height {recovered.height}, "
+                f"expected {twin.height}"
+            )
+        elif recovered.latest.root_hash != twin.latest.root_hash:
+            report.recovery_failures.append(
+                f"block {number}: recovered root "
+                f"{recovered.latest.root_hash.hex()[:16]} != twin "
+                f"{twin.latest.root_hash.hex()[:16]}"
+            )
+        else:
+            report.recoveries_ok += 1
+        if progress is not None:
+            progress(
+                f"crash at block {number}: budget {budget}B "
+                f"{'fired' if fired else 'outlived'}, recovered to height "
+                f"{recovered.height}"
+            )
+        if report.recovery_failures:
+            recovered.close()
+            return False
+        driver.adopt_statedb(recovered)
+        if fired:
+            driver.pool.restore([tx for _h, txs, _w in attempted for tx in txs])
+        return True
+
+    start = driver.height
+    compact = compact_every if backend == "durable" else 0
+    compacted = 0
     try:
-        report.pipeline = driver.run(source, blocks, on_block=on_block)
+        while True:
+            done = driver.height - start
+            if compact and done > compacted and done % compact == 0:
+                compacted = done
+                report.compactions += 1
+                report.bytes_reclaimed += driver.db.compact().bytes_reclaimed
+            if done >= blocks:
+                break
+            if done in crash_at:
+                crash_at.discard(done)
+                if not crash_cycle():
+                    break
+                continue
+            stops = [c for c in crash_at if c > done] + [blocks]
+            if compact:
+                stops.append((done // compact + 1) * compact)
+            driver.run(source, min(stops) - done, on_block=on_block)
+            if driver.height - start == done:
+                break  # the source ran dry
         if check:
             check_sealed_roots()  # headers sealed after the last on_block
     finally:
         driver.close()
         if planner is not None:
             planner.profiles.save(profile_db)
-        db.close()
+        driver.db.close()
         if backend == "durable" and own_dir:
             shutil.rmtree(directory, ignore_errors=True)
 

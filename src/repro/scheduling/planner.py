@@ -124,16 +124,10 @@ class LanePlanner:
         profiles: Optional[ConflictProfileStore] = None,
         repair: bool = True,
         max_repairs: int = 256,
-        shards: int = 0,
     ) -> None:
         self.profiles = profiles if profiles is not None else ConflictProfileStore()
         self.repair = repair
         self.max_repairs = max_repairs
-        # Shard-aware interleave (repro.shard): with a shard count set, the
-        # round-robin cycles across lanes homed on *different* shards first,
-        # so the sharded executor's per-shard local streams fill evenly and
-        # a dispatch window spreads over partitions as well as lanes.
-        self.shards = max(0, shards)
 
     # ------------------------------------------------------------------
     # Feedback (the learning half of the loop)
@@ -220,8 +214,6 @@ class LanePlanner:
         # Lane identity = earliest packed member; within-lane order stays
         # stable by packed position (fee order intact, writers first).
         lanes = [lanes_by_root[root] for root in sorted(lanes_by_root)]
-        if self.shards > 1:
-            lanes = self._shard_interleave(lanes, touched)
 
         # Round-robin interleave: consecutive planned positions come from
         # different lanes, so a dispatch window of ~threads transactions
@@ -239,39 +231,6 @@ class LanePlanner:
         if self.repair and snapshot is not None and builder is not None:
             self._repair_lanes(plan, txs, csags, snapshot, builder)
         return plan
-
-    def _shard_interleave(self, lanes: List[List[int]],
-                          touched: List[Set[StateKey]]) -> List[List[int]]:
-        """Reorder lanes so the round-robin cycles across home shards.
-
-        Each lane is homed on the shard of its smallest touched key (the
-        same deterministic anchor the shard classifier uses); lanes are
-        then emitted by rotating over the shard groups.  Pure reordering —
-        lane membership and within-lane order are untouched, so every
-        correctness property of the plan survives verbatim.
-        """
-        from ..shard.partition import shard_of  # lazy: scheduling <- shard
-
-        groups: Dict[int, List[List[int]]] = {}
-        for lane in lanes:
-            keys = set()
-            for index in lane:
-                keys |= touched[index]
-            if keys:
-                anchor = min(keys, key=lambda k: (k.address.value, k.slot))
-                home = shard_of(anchor.address, self.shards)
-            else:
-                home = 0
-            groups.setdefault(home, []).append(lane)
-        ordered_groups = [groups[s] for s in sorted(groups)]
-        result: List[List[int]] = []
-        cursors = [0] * len(ordered_groups)
-        while len(result) < len(lanes):
-            for gid, group in enumerate(ordered_groups):
-                if cursors[gid] < len(group):
-                    result.append(group[cursors[gid]])
-                    cursors[gid] += 1
-        return result
 
     def _repair_lanes(self, plan: LanePlan, txs, csags, snapshot,
                       builder) -> None:

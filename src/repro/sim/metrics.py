@@ -110,11 +110,6 @@ class BlockMetrics:
     # Declared-operation merge algebra (repro.state.merge):
     merge_intents: int = 0            # delta intents logged on declared keys
     merge_tolerated: int = 0          # aborts skipped by outcome-stable guards
-    # Sharded execution (repro.shard):
-    shards: int = 0                   # shard count (0 ≡ unsharded)
-    cross_shard_txs: int = 0          # transactions spanning >1 shard
-    handoff_requeues: int = 0         # phase-2 handoffs aborted and requeued
-    shard_fallbacks: int = 0          # blocks re-run unsharded (escape detected)
     # State-layer accounting (filled by the validator around commit):
     commit_time: float = 0.0          # wall seconds sealing the snapshot
     commit_hashes: int = 0            # node-hash invocations in the commit
@@ -159,10 +154,6 @@ class BlockMetrics:
         self.revalidation_hits += other.revalidation_hits
         self.merge_intents += other.merge_intents
         self.merge_tolerated += other.merge_tolerated
-        self.shards = max(self.shards, other.shards)
-        self.cross_shard_txs += other.cross_shard_txs
-        self.handoff_requeues += other.handoff_requeues
-        self.shard_fallbacks += other.shard_fallbacks
         self.commit_time += other.commit_time
         self.commit_hashes += other.commit_hashes
         self.commit_nodes_sealed += other.commit_nodes_sealed

@@ -16,8 +16,8 @@ access to a state key has the shape
 i.e. the observed value feeds *only* the declared bounds check and the
 declared operation.  Under that promise the executor may answer reads from
 any fold of already-arrived operands and log a **merge intent** instead of
-an absolute write: intents commute, per-shard commits fold them locally,
-and a cross-shard reduce combines per-shard folds at seal.  Serial
+an absolute write: intents commute, so the executor folds them in whatever
+order they arrive.  Serial
 execution keeps doing ordinary read-modify-write — the fold laws below
 guarantee the results are byte-identical, which the hypothesis property
 tests and the differential verifier both check.
@@ -27,8 +27,7 @@ Two algebraic families, one lattice:
 * ``ADD``/``SUB`` — group ops, *delta-encodable*: an intent is the signed
   delta mod 2**256, and any fold order gives the same sum.
 * ``MAX``/``MIN``/``SET_INSERT`` — idempotent semilattice ops: an intent
-  is the operand itself, and folding final values of disjoint partitions
-  equals folding all operands (``reduce`` below relies on exactly this).
+  is the operand itself, and applying it twice equals applying it once.
 
 Bounds are part of the declaration because they are part of the promise:
 a guard that reads the value can only be tolerated if the executor can
@@ -40,7 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from ..core.types import Address, StateKey
 
@@ -127,27 +126,6 @@ class MergeSpec:
         value = base
         for operand in operands:
             value = self.apply(value, operand)
-        return value
-
-    def reduce(self, snapshot_value: int, finals: Sequence[int]) -> int:
-        """Cross-shard reduce: combine per-shard *final* values of a key
-        that only received declared-op intents in each shard.
-
-        For the group ops each shard's final is ``snapshot + Σ deltas``, so
-        the block total is ``snapshot + Σ (final_i - snapshot)``.  For the
-        idempotent semilattice ops the fold of finals *is* the fold of all
-        operands (finals already include ``snapshot`` as a fold seed).
-        """
-        if not finals:
-            return snapshot_value
-        if self.op.delta_encodable:
-            total = snapshot_value
-            for final in finals:
-                total = (total + final - snapshot_value) % WORD
-            return total
-        value = finals[0]
-        for final in finals[1:]:
-            value = self.apply(value, final)
         return value
 
     def as_dict(self) -> dict:

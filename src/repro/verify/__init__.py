@@ -18,10 +18,7 @@ instead of trusting the schedulers to be right:
 * :mod:`.substrate` — differential backend parity: every scenario preset ×
   scheduler run on real threads and real multiprocessing workers must
   reproduce the discrete-event simulator's receipts, writes, and sealed
-  root byte-for-byte;
-* :mod:`.shard` — differential sharding parity: every scenario preset ×
-  backend run under the sharded executor (plain and merge-declared) must
-  reproduce the serial reference byte-for-byte.
+  root byte-for-byte.
 """
 
 from .trace import TraceRecorder
@@ -29,7 +26,6 @@ from .oracle import OracleReport, SerializabilityOracle, check_block
 from .fuzz import DifferentialFuzzer, FuzzReport
 from .crash import CrashReport, run_crash_campaign
 from .substrate import SubstrateReport, run_substrate_verify
-from .shard import ShardReport, run_shard_verify
 
 __all__ = [
     "TraceRecorder",
@@ -42,6 +38,4 @@ __all__ = [
     "run_crash_campaign",
     "SubstrateReport",
     "run_substrate_verify",
-    "ShardReport",
-    "run_shard_verify",
 ]

@@ -74,8 +74,8 @@ class WorkloadConfig:
     # probability and from the base mix otherwise.
     scenario: str = ""
     scenario_fraction: float = 0.8
-    # Cross-shard storm (repro.shard): the shard count the storm assumes
-    # and the fraction of its traffic that deliberately spans shards.
+    # Cross-shard storm: how many address-hash partitions the storm splits
+    # its traffic into, and the fraction that deliberately spans two.
     shard_count: int = 4
     cross_shard_ratio: float = 0.15
     reentrancy_depth: int = 6        # max nested self-call depth

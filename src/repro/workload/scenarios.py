@@ -5,8 +5,8 @@ by *application-inherent* hot-key conflicts — airdrop claim floods and NFT
 mint storms hammering a single counter — while DeFi composition routes one
 transaction through several contracts, and adversarial orderings exist that
 deliberately maximize mispredictions.  Each scenario here is a named
-:class:`~repro.workload.generator.WorkloadConfig` preset, so the soak
-harness (``python -m repro soak``), the differential fuzzer
+:class:`~repro.workload.generator.WorkloadConfig` preset, so the serve
+pipeline (``python -m repro serve``), the differential fuzzer
 (``repro verify --scenarios``), and the benchmarks all draw from one
 corpus:
 
@@ -29,12 +29,12 @@ corpus:
   and ``UpdateB(x, y)`` pairs on the paper's Fig. 1 contract so nearly
   every pre-executed C-SAG is invalidated by the transaction right before
   it — deliberately maximizing aborts.
-* **cross_shard_storm** — shardable base traffic (single-token ERC-20
+* **cross_shard_storm** — partitionable base traffic (single-token ERC-20
   transfers spread uniformly over many tokens) laced with a controlled
-  fraction of deliberately cross-shard transactions: Ether transfers
-  between accounts hashed to different shards and routed swaps through
-  pools on different shards.  Exercises the two-phase handoff of
-  :mod:`repro.shard` at a tunable cross rate.
+  fraction of transactions that span address partitions: Ether transfers
+  between accounts hashed to different partitions and routed swaps
+  through pools in different partitions.  Two disjoint hot sets joined by
+  a tunable fraction of bridging transactions.
 
 The contracts the scenarios need beyond the base mix are one Minisol
 source (``Airdrop``, :mod:`.contracts`), the paper's ``Example`` contract,
@@ -44,10 +44,11 @@ external-call syntax; the EVM does).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from ..chain.transaction import Transaction
-from ..core.hashing import array_element_slot, mapping_slot
+from ..core.hashing import array_element_slot, keccak, mapping_slot
 from ..core.types import Address, StateKey
 from ..evm.assembler import assemble
 
@@ -65,6 +66,14 @@ SCENARIO_NAMES = (
 # Deep hub inventory in every pool, so bundles never fail on balance.
 HUB_POOL_FUNDS = 10**15
 AIRDROP_POOL = 10**12
+
+
+@lru_cache(maxsize=65536)
+def _partition(address: Address, partitions: int) -> int:
+    """Hash partition of ``address``: keccak of the account bytes modulo
+    ``partitions`` (what ``cross_shard_storm`` splits its traffic by)."""
+    digest = int.from_bytes(keccak(address.to_bytes())[-8:], "big")
+    return digest % partitions
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +400,8 @@ class ScenarioPack:
         )
 
     def _tx_cross_shard_storm(self) -> Transaction:
-        """Mostly shard-local ERC-20 transfers, salted with deliberate
-        cross-shard traffic at the configured ``cross_shard_ratio``."""
-        from ..shard.partition import shard_of
-
+        """Mostly partition-local ERC-20 transfers, salted with deliberate
+        cross-partition traffic at the configured ``cross_shard_ratio``."""
         w = self.w
         rng = w.rng
         cfg = w.config
@@ -402,27 +409,27 @@ class ScenarioPack:
         if rng.random() < cfg.cross_shard_ratio:
             if rng.random() < 0.6 or len(w.contracts.pools) < 2:
                 # Ether transfer across the partition boundary: sender and
-                # recipient balances live in different shards.
+                # recipient balances live in different partitions.
                 sender = w._user()
                 recipient = w._recipient(sender)
                 for _ in range(16):
-                    if shard_of(recipient, shards) != shard_of(sender, shards):
+                    if _partition(recipient, shards) != _partition(sender, shards):
                         break
                     recipient = w._recipient(sender)
                 return Transaction(
                     sender, recipient, rng.randint(1, 10**9),
                     label="storm:cross_ether",
                 )
-            # Routed swap through two pools hashed to different shards.
+            # Routed swap through two pools hashed to different partitions.
             pools = self._pick_pools(2)
             for _ in range(16):
-                if shard_of(pools[0], shards) != shard_of(pools[1], shards):
+                if _partition(pools[0], shards) != _partition(pools[1], shards):
                     break
                 pools = self._pick_pools(2)
             data = self._route_data(pools, rng.randint(2, 400))
             return Transaction(w._user(), self.router, 0, data,
                                label="storm:cross_route")
-        # Shard-local: a transfer inside one uniformly chosen token.
+        # Partition-local: a transfer inside one uniformly chosen token.
         erc20 = w.contracts.compiled["ERC20"]
         sender = w._user()
         token = rng.choice(w.contracts.erc20)
@@ -519,14 +526,14 @@ def abort_storm_config(**overrides):
 
 
 def cross_shard_storm_config(**overrides):
-    """Shardable traffic with a controlled cross-shard fraction."""
+    """Partitionable traffic with a controlled cross-partition fraction."""
     from .generator import WorkloadConfig
 
     defaults = dict(
         scenario="cross_shard_storm",
         scenario_fraction=0.95,
         erc20_tokens=16,
-        zipf_alpha=0.0,       # uniform token choice spreads load over shards
+        zipf_alpha=0.0,       # uniform token choice spreads load evenly
         hot_access_prob=0.0,
     )
     defaults.update(overrides)
@@ -534,7 +541,7 @@ def cross_shard_storm_config(**overrides):
 
 
 def soak_mix_config(**overrides):
-    """Every adversarial scenario rotating over one chain — the soak diet."""
+    """Every adversarial scenario rotating over one chain — the serve diet."""
     from .generator import WorkloadConfig
 
     defaults = dict(scenario="mix", scenario_fraction=0.8)

@@ -224,60 +224,3 @@ class TestPredictionRepair:
         csags = [builder.build(tx, snapshot) for tx in txs]
         LanePlanner().plan(txs, csags, snapshot, builder)
         assert builder._csag_cache is cache
-
-
-class TestShardInterleave:
-    """``LanePlanner(shards=N)``: lane order rotates across home shards
-    while every existing plan invariant survives untouched."""
-
-    def _contracts_on_distinct_shards(self, shards=4, count=4):
-        from repro.shard import shard_of
-
-        found = {}
-        i = 0
-        while len(found) < count:
-            address = Address.derive(f"shard-lane-{i}")
-            found.setdefault(shard_of(address, shards), address)
-            i += 1
-        return [found[s] for s in sorted(found)]
-
-    def test_permutation_and_sender_order_survive(self):
-        txs = [tx_for(i) for i in range(8)]
-        csags = [csag_for(writes=[key(i)]) for i in range(8)]
-        plan = LanePlanner(shards=4).plan(txs, csags)
-        assert sorted(plan.order) == list(range(8))
-
-    def test_lanes_rotate_across_shards(self):
-        """With one lane per shard, consecutive planned lanes come from
-        different shards — the sharded executor's local streams fill
-        evenly instead of draining one partition first."""
-        from repro.shard import shard_of
-
-        contracts = self._contracts_on_distinct_shards()
-        txs, csags = [], []
-        for address in contracts:
-            for j in range(2):
-                txs.append(tx_for(len(txs)))
-                csags.append(csag_for(writes=[StateKey(address, 0)]))
-        plan = LanePlanner(shards=4).plan(txs, csags)
-        homes = []
-        for lane in plan.lanes:
-            touched = csags[lane[0]].write_keys
-            anchor = min(touched, key=lambda k: (k.address.value, k.slot))
-            homes.append(shard_of(anchor.address, 4))
-        assert len(plan.lanes) == 4
-        assert sorted(homes) == homes == [0, 1, 2, 3]
-
-    def test_zero_shards_is_identity_behavior(self):
-        txs = [tx_for(i) for i in range(6)]
-        csags = [csag_for(writes=[key(i)]) for i in range(6)]
-        base = LanePlanner().plan(txs, [csag_for(writes=[key(i)]) for i in range(6)])
-        off = LanePlanner(shards=0).plan(txs, csags)
-        assert off.order == base.order
-
-    def test_interleave_deterministic(self):
-        txs = [tx_for(i) for i in range(10)]
-        make = lambda: [csag_for(writes=[key(i % 5)]) for i in range(10)]
-        a = LanePlanner(shards=4).plan(txs, make())
-        b = LanePlanner(shards=4).plan(txs, make())
-        assert a.order == b.order

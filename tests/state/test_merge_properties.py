@@ -1,23 +1,25 @@
 """Property tests for the declared-operation merge algebra.
 
-Everything the sharded commit path leans on is an algebraic law of
-:class:`~repro.state.merge.MergeSpec`:
+Everything the merge-logged execution path leans on is an algebraic law
+of :class:`~repro.state.merge.MergeSpec`:
 
 * folds are order-independent (commutative + associative) for every op;
-* the cross-shard ``reduce`` of per-partition folds equals one global fold;
 * bounds-guard outcomes are pure functions of (base, operand) — the same
-  misdeclaration aborts identically on every executor and shard count;
+  misdeclaration aborts identically on every executor;
 * a merge-logged parallel execution is byte-identical to plain serial
   read-modify-write over the same block.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Address, StateKey
+from repro.core.errors import SchedulingError
 from repro.executors.dmvcc import DMVCCExecutor
 from repro.executors.serial import SerialExecutor
 from repro.state.merge import WORD, MergeOp, MergeRegistry, MergeSpec
+from repro.substrate import get_substrate
 
 WORDS = st.integers(min_value=0, max_value=WORD - 1)
 SMALL_WORDS = st.integers(min_value=0, max_value=2**64)
@@ -37,7 +39,7 @@ class TestFoldLaws:
     @settings(max_examples=120, deadline=None)
     def test_fold_order_invariant(self, op, base, operands, rng):
         """Any permutation of intent arrival order folds to the same value
-        — the property that lets shards apply intents as they land."""
+        — the property that lets the executor apply intents as they land."""
         spec = _spec(op)
         shuffled = list(operands)
         rng.shuffle(shuffled)
@@ -46,8 +48,8 @@ class TestFoldLaws:
     @given(op=OPS, base=WORDS, xs=OPERAND_LISTS, ys=OPERAND_LISTS)
     @settings(max_examples=120, deadline=None)
     def test_fold_associative(self, op, base, xs, ys):
-        """Folding in two batches equals folding once — per-shard local
-        folds can be applied incrementally."""
+        """Folding in two batches equals folding once — folds can be
+        applied incrementally."""
         spec = _spec(op)
         assert spec.fold(spec.fold(base, xs), ys) == spec.fold(base, xs + ys)
 
@@ -55,29 +57,12 @@ class TestFoldLaws:
            base=WORDS, operands=OPERAND_LISTS)
     @settings(max_examples=80, deadline=None)
     def test_idempotent_ops_absorb_duplicates(self, op, base, operands):
-        """Semilattice ops tolerate redelivered intents (a requeued
-        cross-shard transaction must not double-apply)."""
+        """Semilattice ops tolerate redelivered intents (a re-executed
+        transaction must not double-apply)."""
         spec = _spec(op)
         doubled = operands + operands
         assert spec.fold(base, operands) == spec.fold(base, doubled)
         assert op.idempotent and not op.delta_encodable
-
-    @given(op=OPS, base=WORDS, operands=OPERAND_LISTS,
-           cuts=st.lists(st.integers(0, 12), min_size=0, max_size=3))
-    @settings(max_examples=120, deadline=None)
-    def test_reduce_of_partition_folds_is_global_fold(self, op, base,
-                                                      operands, cuts):
-        """Split the operands into per-shard partitions, fold each from the
-        snapshot, then reduce the finals: the answer must equal one serial
-        fold of everything — the seal-time cross-shard law."""
-        spec = _spec(op)
-        bounds = sorted({min(c, len(operands)) for c in cuts})
-        parts, prev = [], 0
-        for cut in bounds + [len(operands)]:
-            parts.append(operands[prev:cut])
-            prev = cut
-        finals = [spec.fold(base, part) for part in parts if part]
-        assert spec.reduce(base, finals) == spec.fold(base, operands)
 
 
 class TestGuardOutcomes:
@@ -95,7 +80,7 @@ class TestGuardOutcomes:
     @settings(max_examples=150, deadline=None)
     def test_outcome_deterministic_and_pure(self, op, base, operand,
                                             lower, upper):
-        """The guard verdict is a pure function — two shards evaluating
+        """The guard verdict is a pure function — two evaluations of
         the same (base, operand) can never disagree — and a passing
         verdict always leaves the post-value in bounds."""
         spec = MergeSpec(op=op, lower=lower, upper=upper)
@@ -148,6 +133,30 @@ class TestMergeLoggedParity:
         serial_root = workload.db.fork().commit(serial.writes).root_hash
         merged_root = workload.db.fork().commit(merged.writes).root_hash
         assert serial_root == merged_root
+
+    def test_sim_substrate_with_merges_matches_serial(self):
+        workload = _workload(7)
+        txs = workload.transactions(32)
+        snapshot = workload.db.latest
+        resolver = workload.db.codes.code_of
+        serial = SerialExecutor().execute_block(txs, snapshot, resolver)
+        dmvcc = DMVCCExecutor().attach_substrate(get_substrate("sim"))
+        dmvcc.attach_merges(workload.declared_merges())
+        merged = dmvcc.execute_block(txs, snapshot, resolver, threads=8)
+        assert merged.writes == serial.writes
+        assert merged.metrics.merge_intents > 0
+
+    @pytest.mark.parametrize("kind", ["threads", "processes"])
+    def test_real_substrate_refuses_declared_merges(self, kind):
+        """The substrate coordinator knows nothing about merge specs, so a
+        declared registry on a real backend is refused, never bypassed."""
+        workload = _workload(7)
+        dmvcc = DMVCCExecutor().attach_substrate(
+            get_substrate(kind, workers=1))
+        dmvcc.attach_merges(workload.declared_merges())
+        with pytest.raises(SchedulingError, match=kind):
+            dmvcc.execute_block(workload.transactions(4), workload.db.latest,
+                                workload.db.codes.code_of, threads=2)
 
     def test_declared_registry_round_trips_json(self):
         registry = _workload(3).declared_merges()

@@ -6,6 +6,8 @@ protocol.  The abort-maximizer must out-abort the generic high-contention
 preset — that asymmetry is its whole reason to exist.
 """
 
+import hashlib
+
 import pytest
 
 from repro.executors import DMVCCExecutor, SerialExecutor
@@ -20,9 +22,8 @@ from repro.workload import (
 SMALL = dict(users=60, erc20_tokens=3, dex_pools=2, nft_collections=2, icos=1)
 
 # Labels whose serial revert is part of the scenario's design.  A
-# cross-shard routed swap can legitimately revert once drifting reserves
-# round an intermediate leg's output to zero — mispredicted txs are
-# exactly what the sharded executor's cross lane exists to absorb.
+# cross-partition routed swap can legitimately revert once drifting
+# reserves round an intermediate leg's output to zero.
 EXPECTED_REVERTS = {"airdrop:reclaim", "storm:cross_route"}
 
 
@@ -67,6 +68,26 @@ class TestEveryPreset:
                 txs, workload.db.latest, workload.db.codes.code_of, threads=4
             )
             workload.db.commit(execution.writes)
+
+
+# sha256 over (tx_hash, label) of the first 64 transactions at seed 11 on
+# the SMALL world.  Pinned so the generator's output stays bit-identical:
+# ``mix`` feeds the durable_stream benchmark and rotates through
+# cross_shard_storm, whose partition hash lives in this package.
+STREAM_DIGESTS = {
+    "mix": "76d02355b2d516bac446ff9cbc09a129691d581335510d3211345ea2dbfca769",
+    "cross_shard_storm":
+        "18f68769531894a138cc5cd6719c13907ef0aef40f4dbb430e00126be4743458",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
+def test_stream_digest_pinned(name):
+    digest = hashlib.sha256()
+    for tx in _preset_workload(name).transactions(64):
+        digest.update(tx.tx_hash)
+        digest.update(tx.label.encode())
+    assert digest.hexdigest() == STREAM_DIGESTS[name]
 
 
 class TestAbortMaximizer:
