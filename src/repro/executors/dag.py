@@ -12,6 +12,11 @@ from DMVCC, exactly as the paper describes:
 The approach tolerates no analysis error: if the predicted sets miss a real
 access, the execution may diverge from serial (the paper's stated weakness);
 the RQ1 benchmark quantifies how often that occurs.
+
+The fork-join protocol itself (:class:`ForkJoinRun`) is shared with
+schedule replay, which gates on a sealed schedule's predecessors instead
+of the conflict DAG; :func:`run_fork_join` drives it on the simulator and
+``repro.substrate.coordinator.run_fork_join_real`` on worker pools.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.csag import CSAG, CSAGBuilder
+from ..core.errors import SchedulingError
 from ..core.types import StateKey
 from ..evm.environment import BlockContext
 from ..evm.events import (
@@ -99,134 +105,192 @@ class DAGExecutor(Executor):
         csags: Optional[List[CSAG]] = None,
     ) -> BlockExecution:
         """Execute ``txs`` respecting the conflict DAG; see Executor."""
-        pool = self._substrate_pool(threads)
-        if pool is not None:
-            from ..substrate.coordinator import run_dag_real
-            return run_dag_real(self, pool, txs, snapshot, code_resolver,
-                                block, csags, threads=threads)
         wall_start = perf_counter()
         if csags is None:
             builder = CSAGBuilder(code_resolver, block=block)
             csags = [builder.build(tx, snapshot) for tx in txs]
         deps = build_conflict_dag(csags, self.granularity)
-        dependents: List[List[int]] = [[] for _ in txs]
-        remaining = [len(d) for d in deps]
+        pool = self._substrate_pool(threads)
+        if pool is not None:
+            from ..substrate.coordinator import run_fork_join_real
+            keys = [c.read_keys | c.static_read_keys for c in csags]
+            return run_fork_join_real(self, pool, txs, snapshot, code_resolver,
+                                      block, deps, keys, threads=threads)
+        return run_fork_join(self, txs, snapshot, code_resolver, threads,
+                             block, deps, wall_start)
+
+
+class CommittedVersions:
+    """Committed writes per key, read back at a reader's block position.
+
+    Shared by the fork-join drivers (DAG and schedule replay, on every
+    substrate) and the substrate OCC rounds: a reader at index ``i`` sees
+    the latest committed writer below ``i``, else the snapshot.
+    """
+
+    def __init__(self, snapshot: Snapshot) -> None:
+        self.snapshot = snapshot
+        self._writes: Dict[StateKey, Dict[int, int]] = {}
+
+    def publish(self, index: int, writes: Dict[StateKey, int]) -> None:
+        for key, value in writes.items():
+            self._writes.setdefault(key, {})[index] = value
+
+    def retract(self, index: int, keys) -> None:
+        for key in keys:
+            self._writes.get(key, {}).pop(index, None)
+
+    def resolve(self, key: StateKey, index: int) -> Tuple[int, int]:
+        """(value, writer) of the latest committed writer below ``index``;
+        writer -1 means the snapshot."""
+        best, value = -1, 0
+        for writer, v in self._writes.get(key, {}).items():
+            if best < writer < index:
+                best, value = writer, v
+        if best < 0:
+            return self.snapshot.get(key), -1
+        return value, best
+
+    def final_writes(self) -> Dict[StateKey, int]:
+        return {key: versions[max(versions)]
+                for key, versions in self._writes.items() if versions}
+
+
+class ForkJoinRun:
+    """Fork-join protocol state of one block, shared by both drivers.
+
+    A transaction becomes ready once every predecessor in ``deps[i]``
+    committed; ready transactions pop in index order (a min-heap), and
+    nothing ever aborts.  The sim loop (:func:`run_fork_join`) and the
+    substrate loop (``repro.substrate.coordinator.run_fork_join_real``)
+    only decide how a ready transaction runs; they report each result
+    through :meth:`commit` and :meth:`release_dependents`.
+    """
+
+    def __init__(self, executor, txs, snapshot: Snapshot,
+                 deps: List[Set[int]]) -> None:
+        self.ex = executor
+        self.obs = executor.obs
+        self.recorder = executor.recorder
+        self.versions = CommittedVersions(snapshot)
+        self.dependents: List[List[int]] = [[] for _ in txs]
+        self.remaining = [len(d) for d in deps]
         for j, dset in enumerate(deps):
             for i in dset:
-                dependents[i].append(j)
-
-        obs = self.obs
-        loop = EventLoop()
-        pool = ThreadPool(threads, obs=obs)
-        if obs is not None:
-            obs.block_start(0.0, scheduler=self.name, threads=threads,
-                            tx_count=len(txs))
-        # Published versions per key: (tx_index, value), appended in
-        # completion order; reads take the latest finished writer < self.
-        versions: Dict[StateKey, List[Tuple[int, int]]] = {}
-        ready: List[int] = []  # min-heap: deterministic index order
-        receipts: List[Optional[Receipt]] = [None] * len(txs)
-        per_tx: List[TxMetrics] = [TxMetrics(index=i) for i in range(len(txs))]
-
-        def resolver_for(index: int):
-            def resolve(key: StateKey) -> Tuple[int, int]:
-                """(value, writer) of the latest finished writer < index."""
-                best: Optional[Tuple[int, int]] = None
-                for writer, value in versions.get(key, ()):
-                    if writer < index and (best is None or writer > best[0]):
-                        best = (writer, value)
-                if best is not None:
-                    return best[1], best[0]
-                return snapshot.get(key), -1
-
-            return resolve
-
-        def dispatch() -> None:
-            while ready and pool.idle_count:
-                index = heapq.heappop(ready)
-                thread = pool.try_occupy(loop.now, label=f"T{index}")
-                assert thread is not None
-                start = loop.now
-                if obs is not None:
-                    obs.tx_start(start, index, thread=thread)
-                result, writes = _run_to_completion(
-                    txs[index], resolver_for(index), code_resolver, block,
-                    recorder=self.recorder, index=index,
-                )
-                end = start + result.gas_used * self.gas_time_scale
-                per_tx[index].start_time = start
-                per_tx[index].gas_used = result.gas_used
-                per_tx[index].succeeded = result.success
-
-                def complete(index=index, thread=thread, result=result,
-                             writes=writes, end=end) -> None:
-                    if result.success:
-                        for key, value in writes.items():
-                            versions.setdefault(key, []).append((index, value))
-                            if self.recorder is not None:
-                                self.recorder.publish(index, key, "abs", value)
-                    if self.recorder is not None:
-                        self.recorder.complete(index, success=result.success,
-                                               gas_used=result.gas_used)
-                    receipts[index] = Receipt(index=index, result=result)
-                    per_tx[index].end_time = end
-                    if obs is not None:
-                        obs.tx_end(loop.now, index, success=result.success,
-                                   gas_used=result.gas_used)
-                    pool.release(thread, loop.now)
-                    for dep in dependents[index]:
-                        remaining[dep] -= 1
-                        if remaining[dep] == 0:
-                            if obs is not None:
-                                obs.lock_wait_end(loop.now, dep)
-                                obs.tx_ready(loop.now, dep)
-                            heapq.heappush(ready, dep)
-                    dispatch()
-
-                loop.schedule(end, complete)
-
+                self.dependents[i].append(j)
+        self.ready: List[int] = []
+        self.receipts: List[Optional[Receipt]] = [None] * len(txs)
+        self.per_tx = [TxMetrics(index=i) for i in range(len(txs))]
         for index in range(len(txs)):
-            if remaining[index] == 0:
-                if obs is not None:
-                    obs.tx_ready(0.0, index)
-                heapq.heappush(ready, index)
-            elif obs is not None:
-                obs.lock_wait_begin(0.0, index,
-                                    holders=tuple(sorted(deps[index])))
-        loop.schedule_now(dispatch)
-        makespan = loop.run()
-        if obs is not None:
-            obs.block_end(makespan, makespan=makespan)
+            if self.remaining[index] == 0:
+                if self.obs is not None:
+                    self.obs.tx_ready(0.0, index)
+                heapq.heappush(self.ready, index)
+            elif self.obs is not None:
+                self.obs.lock_wait_begin(0.0, index,
+                                         holders=tuple(sorted(deps[index])))
 
-        final_receipts = [r for r in receipts if r is not None]
-        if len(final_receipts) != len(txs):
-            missing = [i for i, r in enumerate(receipts) if r is None]
-            raise RuntimeError(f"DAG executor deadlocked; unfinished: {missing}")
+    def commit(self, index: int, result: TxResult,
+               writes: Dict[StateKey, int], now: float) -> None:
+        if result.success:
+            self.versions.publish(index, writes)
+            if self.recorder is not None:
+                for key, value in writes.items():
+                    self.recorder.publish(index, key, "abs", value)
+        if self.recorder is not None:
+            self.recorder.complete(index, success=result.success,
+                                   gas_used=result.gas_used)
+        self.receipts[index] = Receipt(index=index, result=result)
+        per = self.per_tx[index]
+        per.end_time = now
+        per.gas_used = result.gas_used
+        per.succeeded = result.success
+        if self.obs is not None:
+            self.obs.tx_end(now, index, success=result.success,
+                            gas_used=result.gas_used)
 
-        writes: Dict[StateKey, int] = {}
-        for key, entries in versions.items():
-            writes[key] = max(entries, key=lambda e: e[0])[1]
+    def release_dependents(self, index: int, now: float) -> None:
+        for dep in self.dependents[index]:
+            self.remaining[dep] -= 1
+            if self.remaining[dep] == 0:
+                if self.obs is not None:
+                    self.obs.lock_wait_end(now, dep)
+                    self.obs.tx_ready(now, dep)
+                heapq.heappush(self.ready, dep)
 
-        metrics = self._base_metrics(threads, final_receipts)
-        metrics.makespan = makespan
-        metrics.utilisation = pool.utilisation(makespan)
-        metrics.per_tx = per_tx
-        metrics.wall_time = perf_counter() - wall_start
-        return BlockExecution(writes=writes, receipts=final_receipts, metrics=metrics)
+    def block_execution(self, threads: int) -> BlockExecution:
+        missing = [i for i, r in enumerate(self.receipts) if r is None]
+        if missing:
+            raise SchedulingError(
+                f"{self.ex.name} deadlocked; unfinished: {missing}")
+        metrics = self.ex._base_metrics(threads, self.receipts)
+        metrics.per_tx = self.per_tx
+        return BlockExecution(writes=self.versions.final_writes(),
+                              receipts=list(self.receipts), metrics=metrics)
+
+
+def run_fork_join(executor, txs, snapshot, code_resolver, threads, block,
+                  deps, wall_start: Optional[float] = None) -> BlockExecution:
+    """The fork-join loop on the simulator: each ready transaction runs to
+    completion at dispatch and commits ``gas_used`` later on the gas
+    clock.  ``wall_start`` backdates ``wall_time`` to include the caller's
+    analysis."""
+    if wall_start is None:
+        wall_start = perf_counter()
+    obs = executor.obs
+    loop = EventLoop()
+    pool = ThreadPool(threads, obs=obs)
+    if obs is not None:
+        obs.block_start(0.0, scheduler=executor.name, threads=threads,
+                        tx_count=len(txs))
+    run = ForkJoinRun(executor, txs, snapshot, deps)
+
+    def dispatch() -> None:
+        while run.ready and pool.idle_count:
+            index = heapq.heappop(run.ready)
+            thread = pool.try_occupy(loop.now, label=f"T{index}")
+            start = loop.now
+            if obs is not None:
+                obs.tx_start(start, index, thread=thread)
+            result, writes = _run_to_completion(
+                txs[index], run.versions, code_resolver, block,
+                recorder=executor.recorder, index=index,
+            )
+            run.per_tx[index].start_time = start
+
+            def complete(index=index, thread=thread, result=result,
+                         writes=writes) -> None:
+                run.commit(index, result, writes, loop.now)
+                pool.release(thread, loop.now)
+                run.release_dependents(index, loop.now)
+                dispatch()
+
+            loop.schedule(start + result.gas_used * executor.gas_time_scale,
+                          complete)
+
+    loop.schedule_now(dispatch)
+    makespan = loop.run()
+    if obs is not None:
+        obs.block_end(makespan, makespan=makespan)
+    execution = run.block_execution(threads)
+    execution.metrics.makespan = makespan
+    execution.metrics.utilisation = pool.utilisation(makespan)
+    execution.metrics.wall_time = perf_counter() - wall_start
+    return execution
 
 
 def _run_to_completion(
-    tx, resolve, code_resolver, block, recorder=None, index: int = 0
+    tx, versions: CommittedVersions, code_resolver, block, recorder=None,
+    index: int = 0,
 ) -> Tuple[TxResult, Dict[StateKey, int]]:
-    """Drive one transaction program against a point-in-time resolver.
-
-    ``resolve(key)`` returns (value, writer index); foreign reads are logged
-    to ``recorder`` with the writer version they observed.
+    """Drive one transaction program against the versions committed below
+    ``index``; foreign reads are logged to ``recorder`` with the writer
+    version they observed.
     """
     last_version: Dict[StateKey, int] = {}
 
     def reader(key: StateKey) -> int:
-        value, writer = resolve(key)
+        value, writer = versions.resolve(key, index)
         last_version[key] = writer
         return value
 

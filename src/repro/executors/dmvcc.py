@@ -18,6 +18,10 @@ Implements the paper's Algorithms 1–4 over the discrete-event simulator:
 Feature flags ``enable_early_write`` and ``enable_commutative`` support the
 paper's design-choice ablations; with both off, DMVCC degenerates to pure
 write-versioned scheduling.
+
+The protocol's substrate-independent transitions live once, in
+:class:`_ProtocolCore`; :class:`_BlockRun` drives them on the simulator,
+and ``repro.substrate.coordinator`` drives them on real worker pools.
 """
 
 from __future__ import annotations
@@ -283,8 +287,8 @@ class DMVCCExecutor(Executor):
         """
         substrate = self._effective_substrate()
         if self.merges and substrate is not None and substrate.kind != "sim":
-            # Declared-merge interception lives in the simulator driver; the
-            # real-substrate coordinator knows nothing about merge specs.
+            # Declared-merge reads and writes are intercepted mid-attempt by
+            # the simulator driver; workers run whole attempts without it.
             raise SchedulingError(
                 f"{self.name}: declared merges run only on the sim "
                 f"substrate, not on {substrate.kind!r}")
@@ -297,10 +301,23 @@ class DMVCCExecutor(Executor):
         return run.execute()
 
 
-class _BlockRun:
-    """One block execution; all protocol state lives here."""
+class _ProtocolCore:
+    """The DMVCC state machine of one block, independent of how attempts run.
 
-    def __init__(self, executor, txs, snapshot, code_resolver, threads, block, csags):
+    Everything here is a protocol transition over the access sequences,
+    the lock table and the ready queue: seeding (Alg. 1), version writes
+    and the wake/abort cascade (Alg. 3), completion skip-marking, abort
+    with retraction and requeue (Alg. 4), revalidation of a completed
+    attempt's read log, and the rescue pass.  Drivers supply the clock
+    (``_now``), how a running attempt is stopped (``_stop_attempt``), and
+    optionally a dispatch trigger (``_schedule_dispatch``); they feed
+    attempt results in through ``_finish``.  The simulator
+    (:class:`_BlockRun`) steps transaction generators on a gas clock; the
+    substrate coordinator (``repro.substrate.coordinator``) ships whole
+    attempts to worker pools.
+    """
+
+    def __init__(self, executor, txs, snapshot, code_resolver, block, csags):
         self.ex = executor
         self.txs = txs
         self.snapshot = snapshot
@@ -312,12 +329,10 @@ class _BlockRun:
             csags = [self.builder.build(tx, snapshot) for tx in txs]
         self.csags = csags
         self.obs = executor.obs
-        self.loop = EventLoop()
-        clock = lambda: self.loop.now  # noqa: E731 — shared simulated clock
-        self.sequences = AccessSequenceSet(obs=self.obs, clock=clock)
-        self.locks = LockTable(obs=self.obs, clock=clock)
+        self.recorder = executor.recorder
+        self.sequences = AccessSequenceSet(obs=self.obs, clock=self._now)
+        self.locks = LockTable(obs=self.obs, clock=self._now)
         self.queue = ReadyQueue()
-        self.pool = ThreadPool(threads, obs=self.obs)
         self.states: List[_TxState] = []
         self.per_tx = [TxMetrics(index=i) for i in range(len(txs))]
         # Every key a transaction has ever published to, across attempts:
@@ -326,8 +341,7 @@ class _BlockRun:
         # about on-the-fly inserted entries).
         self.ever_written: List[Set[StateKey]] = [set() for _ in txs]
         self.rescues = 0
-        self._dispatch_scheduled = False
-        self.recorder = executor.recorder
+        self._rescue_rounds = 0
         # Declared-operation merge registry (None ≡ paper semantics).  The
         # noCW ablation disables it together with blind increments.
         merges = executor.merges if executor.enable_commutative else None
@@ -338,6 +352,19 @@ class _BlockRun:
         self._increment_map: Dict[Address, Dict[int, int]] = {}
         self._release_pcs: Dict[Address, FrozenSet[int]] = {}
         self._release_bounds: Dict[Address, Dict[int, Optional[int]]] = {}
+
+    # -- driver hooks -----------------------------------------------------
+
+    def _now(self) -> float:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def _stop_attempt(self, state: _TxState) -> None:  # pragma: no cover
+        """Stop ``state``'s running attempt so its result never lands."""
+        raise NotImplementedError
+
+    def _schedule_dispatch(self) -> None:
+        """A transaction became ready; drivers that dispatch from an event
+        loop schedule a dispatch pass here."""
 
     # ------------------------------------------------------------------
     # Setup: Algorithm 1, pre-execution part
@@ -426,60 +453,497 @@ class _BlockRun:
         )
 
     # ------------------------------------------------------------------
-    # Main loop
+    # Version writes, wake-ups and completion (Algorithms 1 and 3)
     # ------------------------------------------------------------------
 
-    def execute(self) -> BlockExecution:
-        wall_start = perf_counter()
+    def _publish(self, state: _TxState, key: StateKey, kind: str, value: int) -> None:
+        seq = self.sequences.sequence(key)
+        if self.recorder is not None:
+            # _finish flips status to DONE before publishing leftovers, so
+            # RUNNING here means mid-transaction (release-point) visibility.
+            self.recorder.publish(state.index, key, kind, value,
+                                  early=state.status is _Status.RUNNING)
+        if kind == "abs":
+            allowed, aborted = seq.version_write(state.index, value=value)
+        else:
+            allowed, aborted = seq.version_write(state.index, delta=value)
+        state.published[key] = (kind, value)
+        self.ever_written[state.index].add(key)
+        self._handle_wake_and_abort(key, allowed, aborted, writer=state.index)
+
+    def _handle_wake_and_abort(
+        self, key: StateKey, allowed: List[int], aborted: List[int],
+        writer: int = -1,
+    ) -> None:
+        for victim in aborted:
+            if self._merge_skip_abort(victim, key):
+                continue
+            self._abort(victim, key, writer=writer)
+        seq = self.sequences.sequence(key)
+        for index in sorted(set(allowed) | set(aborted)):
+            target = self.states[index]
+            if target.status is _Status.WAITING:
+                if seq.resolve_read(index).ready:
+                    became_ready = self.locks.grant(index, key)
+                    if became_ready or self.locks.is_ready(index):
+                        if target.status is _Status.WAITING:
+                            target.status = _Status.READY
+                            self.queue.push(index)
+                            if self.obs is not None:
+                                now = self._now()
+                                self.obs.version_wait_end(
+                                    now, index, key=key, granted_by=writer)
+                                self.obs.tx_ready(
+                                    now, index, attempt=target.attempts + 1)
+                            self._schedule_dispatch()
+            else:
+                self.locks.grant(index, key)
+
+    def _merge_skip_abort(self, victim: int, key: StateKey) -> bool:
+        """Outcome-stable abort tolerance (the merge algebra's payoff).
+
+        When a late-arriving version of a declared merge key would abort a
+        reader, re-evaluate every guard that reader ran on the key against
+        the drifted base: if all verdicts are unchanged the reader's
+        behaviour is byte-identical (the value feeds nothing else under the
+        declaration), so the abort is skipped outright — no re-execution,
+        no attempt bump.  Any unfinished earlier writer (view is None) or
+        operand-less record falls back to the normal abort path.
+        """
+        if self.merges is None:
+            return False
+        spec = self.merges.lookup(key)
+        if spec is None or not spec.op.delta_encodable:
+            return False
+        state = self.states[victim]
+        records = [r for r in state.read_log if r.key == key and r.registered]
+        if not records:
+            return False
+        seq = self.sequences.get(key)
+        if seq is None:
+            return False
+        running = state.status is _Status.RUNNING
+        view = seq.current_read_view(victim, self.snapshot.get(key))
+        deferred: List[_ReadRecord] = []
+        for rec in records:
+            if rec.merge_operand is None:
+                if running:
+                    # The paired write hasn't happened yet, so the operand
+                    # is unknown; defer the verdict check to the write's
+                    # attach hook (or the completion hook).
+                    deferred.append(rec)
+                    continue
+                return False
+            if view is None:
+                return False
+            if view[0] != rec.base and not self._merge_outcome_stable(rec, view[0]):
+                return False
+        for rec in deferred:
+            rec.merge_recheck = True
+        self.merge_tolerated += 1
         if self.obs is not None:
-            self.obs.block_start(0.0, scheduler=self.ex.name,
-                                 threads=self.pool.size,
-                                 tx_count=len(self.txs))
-        self._setup()
+            self.obs.merge_tolerated(self._now(), victim, key)
+        return True
+
+    def _finish(self, state: _TxState, result: TxResult, executed: int) -> None:
+        """Commit an attempt that ran to completion: publish the writes it
+        has not published yet (or retract everything if it failed), then
+        skip-mark the writes it never performed.  ``executed`` is the
+        instruction count the attempt actually ran."""
+        now = self._now()
+        state.status = _Status.DONE
+        state.result = result
+        per = self.per_tx[state.index]
+        per.end_time = now
+        per.gas_used = result.gas_used
+        per.succeeded = result.success
+        per.attempts = state.attempts
+        per.instructions_executed += executed
+        per.instructions_final = result.steps
+
+        if result.success:
+            for key, value in state.w_abs.items():
+                if state.published.get(key) != ("abs", value):
+                    self._publish(state, key, "abs", value)
+            for key, delta in state.w_delta.items():
+                if state.published.get(key) != ("delta", delta):
+                    self._publish(state, key, "delta", delta)
+        else:
+            self._retract_published(state)
+        if self.obs is not None:
+            self.obs.tx_end(now, state.index, attempt=state.attempts,
+                            success=result.success,
+                            gas_used=result.gas_used)
+        if self.recorder is not None:
+            self.recorder.complete(state.index, attempt=state.attempts,
+                                   success=result.success,
+                                   gas_used=result.gas_used)
+
+        # Predicted writes that never materialised are marked skipped so
+        # transactions waiting on them unblock (divergent path / failure).
+        # The same applies to keys this transaction published in *earlier
+        # attempts*: an entry inserted on the fly back then may now be a
+        # write the current path never performs.
+        pending_write_keys = set(self.ever_written[state.index])
+        for key, access_type in state.csag.per_key.items():
+            if self._declared(access_type) is not AccessType.READ:
+                pending_write_keys.add(key)
+        for key in pending_write_keys:
+            if key in state.published:
+                continue
+            seq = self.sequences.sequence(key)
+            entry = seq.entry(state.index)
+            if entry is not None and entry.has_write_part and not entry.write_finished:
+                allowed, _ = seq.version_write(state.index, skipped=True)
+                self._handle_wake_and_abort(key, allowed, [], writer=state.index)
         self._schedule_dispatch()
-        makespan = self.loop.run()
-        # Rescue pass: recover from any lost wake-up (counted; tests pin 0).
-        guard = 0
-        while not all(s.status is _Status.DONE for s in self.states):
-            guard += 1
-            if guard > 3 * len(self.states) + 10:
-                stuck = [s.index for s in self.states if s.status is not _Status.DONE]
-                raise SchedulingError(f"DMVCC deadlock; stuck transactions: {stuck}")
-            progressed = False
-            for state in self.states:
-                if state.status is _Status.WAITING:
-                    self.rescues += 1
-                    state.status = _Status.READY
-                    self.queue.push(state.index)
-                    if self.obs is not None:
-                        self.obs.version_wait_end(self.loop.now, state.index)
-                        self.obs.tx_ready(self.loop.now, state.index,
-                                          attempt=state.attempts + 1)
-                    progressed = True
-            if not progressed:
-                stuck = [s.index for s in self.states if s.status is not _Status.DONE]
-                raise SchedulingError(f"DMVCC deadlock; stuck transactions: {stuck}")
-            self._schedule_dispatch()
-            makespan = max(makespan, self.loop.run())
 
+    # ------------------------------------------------------------------
+    # Abort (Algorithm 4)
+    # ------------------------------------------------------------------
+
+    def _abort(self, index: int, trigger_key: StateKey, writer: int = -1) -> None:
+        state = self.states[index]
+        now = self._now()
+        if state.aborting:
+            # A suffix-retraction cascade circled back to the transaction
+            # being aborted.  Flag it — the outer call checks the flag and
+            # degrades to a full restart — and let that call finish.
+            state.abort_reentered = True
+            return
+        if self.recorder is not None:
+            self.recorder.abort(index, attempt=max(state.attempts, 1),
+                                key=trigger_key)
         if self.obs is not None:
-            self.obs.block_end(makespan, makespan=makespan)
+            self.obs.tx_abort(now, index, attempt=max(state.attempts, 1),
+                              key=trigger_key, writer=writer)
 
+        # Revalidation fast path: a completed successful attempt whose whole
+        # read log still resolves to the same values remains serializable —
+        # reinstate its result as a fresh attempt with zero re-execution.
+        if (
+            self.ex.enable_revalidation
+            and state.status is _Status.DONE
+            and state.result is not None
+            and state.result.success
+            and self._try_revalidate(state)
+        ):
+            return
+
+        if state.resume_from is not None:
+            # Aborted again while parked for a resume: the plan below is
+            # recomputed against the (already truncated) log, so just drop
+            # the stale one.
+            state.resume_from = None
+
+        state.aborting = True
+        state.abort_reentered = False
+        try:
+            if state.status is _Status.READY:
+                self.queue.remove(index)
+            elif state.status is _Status.RUNNING:
+                self._stop_attempt(state)
+            elif state.status is _Status.DONE:
+                state.result = None
+            elif state.status is _Status.WAITING:
+                # Nothing consumed yet in the *current* attempt; but a previous
+                # attempt's reads may still be recorded — fall through to reset.
+                pass
+
+            state.status = _Status.WAITING
+            self.per_tx[index].aborted_times += 1
+
+            plan = None
+            if self.ex.enable_checkpoint_resume and state.checkpoints:
+                plan = self._plan_resume(state)
+            if plan is not None:
+                # Retract only what came after the checkpoint; if the
+                # cascade came back to bite us, or shifted the kept prefix,
+                # fall back to retracting everything.
+                self._retract_suffix(state, plan)
+                if state.abort_reentered or self._prefix_invalid(state, plan):
+                    plan = None
+            if plan is not None:
+                self._arm_resume(state, plan)
+            else:
+                self._restart(state)
+        finally:
+            state.aborting = False
+
+        self.locks.release_all(index)
+        if self.locks.refresh(index, self.sequences):
+            state.status = _Status.READY
+            self.queue.push(index)
+            if self.obs is not None:
+                self.obs.tx_ready(now, index, attempt=state.attempts + 1)
+            self._schedule_dispatch()
+        elif self.obs is not None:
+            keys, blockers = self._wait_info(index)
+            self.obs.version_wait_begin(now, index, keys=keys,
+                                        blockers=blockers)
+
+    def _restart(self, state: _TxState) -> None:
+        """Full restart: retract whatever this transaction made visible
+        (cascades) and clear its recorded reads so future writes don't
+        re-abort a transaction already re-executing."""
+        self._retract_published(state)
+        for key in state.registered_reads:
+            seq = self.sequences.get(key)
+            if seq is not None:
+                entry = seq.entry(state.index)
+                if entry is not None:
+                    entry.reset_read()
+        state.reset_attempt()
+
+    # ------------------------------------------------------------------
+    # Incremental re-execution: validation, revalidation, resume
+    # ------------------------------------------------------------------
+
+    def _validate_reads(
+        self, state: _TxState, limit: int
+    ) -> Tuple[Optional[int], List[int]]:
+        """Re-resolve the first ``limit`` read-log records against the live
+        access sequences.  Returns the index of the first record whose value
+        changed (or None when every record still holds) plus the re-resolved
+        version for each record of the valid prefix."""
+        versions: List[int] = []
+        for i, rec in enumerate(state.read_log[:limit]):
+            if rec.blind:
+                # Blind increment reads are value-insensitive (_ReadRecord):
+                # the driver publishes the delta, not the absolute.
+                versions.append(rec.version_from)
+                continue
+            seq = self.sequences.get(rec.key)
+            if seq is None:
+                return i, versions
+            view = seq.current_read_view(state.index, self.snapshot.get(rec.key))
+            if view is None:
+                return i, versions
+            if view[0] != rec.base and not self._merge_outcome_stable(rec, view[0]):
+                return i, versions
+            versions.append(view[1])
+        return None, versions
+
+    @staticmethod
+    def _merge_outcome_stable(rec: _ReadRecord, new_base: int) -> bool:
+        """Whether a merge record tolerates its base drifting to
+        ``new_base``: the declared guard must reach the same verdict on the
+        observed value it would now see.  Records without an operand (the
+        guard failed, or the op never ran) demand exact equality."""
+        if rec.merge_spec is None or rec.merge_operand is None:
+            return False
+        old_value = (rec.base + rec.merge_own) % WORD_MOD
+        new_value = (new_base + rec.merge_own) % WORD_MOD
+        return (rec.merge_spec.outcome(old_value, rec.merge_operand)
+                == rec.merge_spec.outcome(new_value, rec.merge_operand))
+
+    def _rerecord_reads(
+        self, state: _TxState, records: List[_ReadRecord], versions: List[int]
+    ) -> None:
+        """Re-anchor the recorded read dependencies to the versions they
+        resolve to *now* (record_read keeps the oldest version, so the stale
+        registration must be reset first)."""
+        for key in {r.key for r in records if r.registered}:
+            seq = self.sequences.get(key)
+            if seq is not None:
+                entry = seq.entry(state.index)
+                if entry is not None:
+                    entry.reset_read()
+        for rec, version in zip(records, versions):
+            if rec.registered:
+                self.sequences.sequence(rec.key).record_read(state.index, version)
+                rec.version_from = version
+
+    def _reemit_reads(
+        self, state: _TxState, records: List[_ReadRecord], versions: List[int]
+    ) -> None:
+        """Emit the kept reads into the trace under the new attempt number so
+        the serializability oracle sees the attempt's true dependencies."""
+        if self.recorder is None:
+            return
+        for rec, version in zip(records, versions):
+            if rec.blind:
+                self.recorder.read(state.index, rec.key, version, rec.base,
+                                   attempt=state.attempts, blind=True)
+            else:
+                early = (version >= 0
+                         and self.states[version].status is not _Status.DONE)
+                self.recorder.read(state.index, rec.key, version, rec.base,
+                                   attempt=state.attempts, early=early,
+                                   speculative=rec.speculative)
+
+    def _try_revalidate(self, state: _TxState) -> bool:
+        first_invalid, versions = self._validate_reads(state, len(state.read_log))
+        if first_invalid is not None:
+            return False
+        state.attempts += 1
+        per = self.per_tx[state.index]
+        per.attempts = state.attempts
+        per.aborted_times += 1
+        per.revalidation_hits += 1
+        skipped = state.result.steps
+        per.instructions_skipped += skipped
+        self._rerecord_reads(state, state.read_log, versions)
+        if self.obs is not None:
+            self.obs.revalidation_hit(self._now(), state.index,
+                                      attempt=state.attempts,
+                                      instructions_skipped=skipped)
+        self._reemit_reads(state, state.read_log, versions)
+        if self.recorder is not None:
+            self.recorder.complete(state.index, attempt=state.attempts,
+                                   success=True,
+                                   gas_used=state.result.gas_used)
+        return True
+
+    def _plan_resume(self, state: _TxState) -> Optional[_ResumePlan]:
+        """Find the newest checkpoint at or before the first invalidated
+        read; everything up to it is salvageable."""
+        first_invalid, _ = self._validate_reads(state, len(state.read_log))
+        j = first_invalid if first_invalid is not None else len(state.read_log)
+        usable = [ck for ck in state.checkpoints if ck.read_index <= j]
+        if not usable:
+            return None
+        return _ResumePlan(checkpoint=usable[-1], first_invalid=j)
+
+    def _prefix_invalid(self, state: _TxState, plan: _ResumePlan) -> bool:
+        first_invalid, versions = self._validate_reads(
+            state, plan.checkpoint.read_index)
+        if first_invalid is not None:
+            return True
+        plan.prefix_versions = versions
+        return False
+
+    def _retract_suffix(self, state: _TxState, plan: _ResumePlan) -> None:
+        """Retract only the writes published after ``plan.checkpoint``.
+
+        A key the kept prefix had already published (with an older value)
+        gets that value reinstated — retract then republish — so prefix
+        readers can revalidate against the identical value instead of
+        cascading into full restarts.
+        """
+        keep = plan.checkpoint.published
+        published = list(state.published.items())
+        state.published = dict(keep)
+        for key, current in published:
+            kept = keep.get(key)
+            if kept == current:
+                continue  # unchanged since the checkpoint: leave it in place
+            seq = self.sequences.get(key)
+            if seq is None:
+                continue
+            victims = seq.retract(state.index)
+            if self.recorder is not None:
+                self.recorder.retract(
+                    state.index, key,
+                    tuple(v for v in victims if v != state.index),
+                )
+            allowed: List[int] = []
+            aborted: List[int] = []
+            if kept is not None:
+                kind, value = kept
+                if self.recorder is not None:
+                    self.recorder.publish(state.index, key, kind, value,
+                                          early=True)
+                if kind == "abs":
+                    allowed, aborted = seq.version_write(state.index, value=value)
+                else:
+                    allowed, aborted = seq.version_write(state.index, delta=value)
+            for victim in victims:
+                if victim != state.index and not self._merge_skip_abort(victim, key):
+                    self._abort(victim, key, writer=state.index)
+            if kept is not None:
+                self._handle_wake_and_abort(key, allowed, aborted,
+                                            writer=state.index)
+
+    def _arm_resume(self, state: _TxState, plan: _ResumePlan) -> None:
+        """Park the transaction with a restored checkpoint image; the next
+        _start resumes the VM instead of re-executing from scratch."""
+        ck = plan.checkpoint
+        index = state.index
+        # Reads that exist only in the discarded suffix lose their recorded
+        # dependency; keys also read in the kept prefix keep their entry
+        # (the prefix re-record at start refreshes its version).
+        prefix_keys = {r.key for r in state.read_log[: ck.read_index]
+                       if r.registered}
+        for rec in state.read_log[ck.read_index:]:
+            if rec.registered and rec.key not in prefix_keys:
+                seq = self.sequences.get(rec.key)
+                if seq is not None:
+                    entry = seq.entry(index)
+                    if entry is not None:
+                        entry.reset_read()
+        del state.read_log[ck.read_index:]
+        for rec in state.read_log:
+            if rec.merge_operand is not None and rec.merge_attached_at > ck.read_index:
+                rec.merge_operand = None
+        state.checkpoints = [c for c in state.checkpoints
+                             if c.read_index <= ck.read_index]
+        # Restore the driver-side attempt image; the VM side is rebuilt by
+        # resume_transaction_program when the transaction next starts.
+        state.w_abs = dict(ck.w_abs)
+        state.w_delta = dict(ck.w_delta)
+        state.pending_blind = dict(ck.pending_blind)
+        state.registered_reads = dict(ck.registered_reads)
+        state.frame_stack = [(dict(a), dict(d), dict(r))
+                             for a, d, r in ck.frame_stack]
+        state.release_mode = ck.release_mode
+        state.speculative_reads = ck.speculative_reads
+        state.generator = None
+        state.meter = None
+        state.pending_entry = None
+        state.resume_from = plan
+
+    def _retract_published(self, state: _TxState) -> None:
+        published = list(state.published)
+        state.published = {}
+        for key in published:
+            seq = self.sequences.get(key)
+            if seq is None:
+                continue
+            victims = seq.retract(state.index)
+            if self.recorder is not None:
+                self.recorder.retract(
+                    state.index, key,
+                    tuple(v for v in victims if v != state.index),
+                )
+            for victim in victims:
+                if victim != state.index and not self._merge_skip_abort(victim, key):
+                    self._abort(victim, key, writer=state.index)
+
+    # ------------------------------------------------------------------
+    # Rescue and result
+    # ------------------------------------------------------------------
+
+    def _rescue(self) -> None:
+        """Recover from lost wake-ups (counted; tests pin 0): every waiting
+        transaction is made ready.  Raises when nothing can progress."""
+        self._rescue_rounds += 1
+        waiting = [s for s in self.states if s.status is _Status.WAITING]
+        if not waiting or self._rescue_rounds > 3 * len(self.states) + 10:
+            stuck = [s.index for s in self.states if s.status is not _Status.DONE]
+            raise SchedulingError(f"DMVCC deadlock; stuck transactions: {stuck}")
+        now = self._now()
+        for state in waiting:
+            self.rescues += 1
+            state.status = _Status.READY
+            self.queue.push(state.index)
+            if self.obs is not None:
+                self.obs.version_wait_end(now, state.index)
+                self.obs.tx_ready(now, state.index, attempt=state.attempts + 1)
+
+    def _block_execution(self, threads: int) -> BlockExecution:
         receipts = [
             Receipt(index=s.index, result=s.result, attempts=max(s.attempts, 1))
             for s in self.states
         ]
         writes = self.sequences.final_writes(self.snapshot.get)
-        metrics = self.ex._base_metrics(self.pool.size, receipts)
-        metrics.makespan = makespan
-        metrics.utilisation = self.pool.utilisation(makespan)
+        metrics = self.ex._base_metrics(threads, receipts)
         metrics.per_tx = self.per_tx
         metrics.rescues = self.rescues
         metrics.replayed_instructions = sum(t.replayed_instructions for t in self.per_tx)
         metrics.instructions_skipped = sum(t.instructions_skipped for t in self.per_tx)
         metrics.resumes = sum(t.resumes for t in self.per_tx)
         metrics.revalidation_hits = sum(t.revalidation_hits for t in self.per_tx)
-        metrics.wall_time = perf_counter() - wall_start
         if self.merges is not None:
             metrics.merge_tolerated = self.merge_tolerated
             metrics.merge_intents = self._merge_intents()
@@ -494,6 +958,60 @@ class _BlockRun:
             for key in s.w_delta
             if self.merges.lookup(key) is not None
         )
+
+
+class _BlockRun(_ProtocolCore):
+    """The simulator driver: transaction generators stepped on a gas clock,
+    bound to simulated threads, with mid-transaction early-write visibility
+    and checkpoint resume."""
+
+    def __init__(self, executor, txs, snapshot, code_resolver, threads, block, csags):
+        super().__init__(executor, txs, snapshot, code_resolver, block, csags)
+        self.loop = EventLoop()
+        self.pool = ThreadPool(threads, obs=self.obs)
+        self._dispatch_scheduled = False
+
+    def _now(self) -> float:
+        return self.loop.now
+
+    def _stop_attempt(self, state: _TxState) -> None:
+        if state.pending_entry is not None:
+            self.loop.cancel(state.pending_entry)
+            state.pending_entry = None
+        if state.generator is not None:
+            state.generator.close()
+            state.generator = None
+        if state.meter is not None:
+            self.per_tx[state.index].instructions_executed += state.meter.steps_executed
+            state.meter = None
+        self.pool.release(state.thread, self.loop.now)
+        state.thread = None
+
+    # ------------------------------------------------------------------
+    # Main loop
+    # ------------------------------------------------------------------
+
+    def execute(self) -> BlockExecution:
+        wall_start = perf_counter()
+        if self.obs is not None:
+            self.obs.block_start(0.0, scheduler=self.ex.name,
+                                 threads=self.pool.size,
+                                 tx_count=len(self.txs))
+        self._setup()
+        self._schedule_dispatch()
+        makespan = self.loop.run()
+        while not all(s.status is _Status.DONE for s in self.states):
+            self._rescue()
+            self._schedule_dispatch()
+            makespan = max(makespan, self.loop.run())
+
+        if self.obs is not None:
+            self.obs.block_end(makespan, makespan=makespan)
+        execution = self._block_execution(self.pool.size)
+        execution.metrics.makespan = makespan
+        execution.metrics.utilisation = self.pool.utilisation(makespan)
+        execution.metrics.wall_time = perf_counter() - wall_start
+        return execution
 
     # ------------------------------------------------------------------
     # Dispatch / stepping
@@ -552,14 +1070,7 @@ class _BlockRun:
         ck = plan.checkpoint
         first_invalid, versions = self._validate_reads(state, ck.read_index)
         if first_invalid is not None:
-            self._retract_published(state)
-            for key in state.registered_reads:
-                seq = self.sequences.get(key)
-                if seq is not None:
-                    entry = seq.entry(state.index)
-                    if entry is not None:
-                        entry.reset_read()
-            state.reset_attempt()
+            self._restart(state)
             return False
         prefix = state.read_log[: ck.read_index]
         self._rerecord_reads(state, prefix, versions)
@@ -986,48 +1497,27 @@ class _BlockRun:
             if state.published.get(key) != ("delta", state.w_delta[key]):
                 self._publish(state, key, "delta", state.w_delta[key])
 
-    def _publish(self, state: _TxState, key: StateKey, kind: str, value: int) -> None:
-        seq = self.sequences.sequence(key)
-        if self.recorder is not None:
-            # _complete flips status to DONE before publishing leftovers, so
-            # RUNNING here means mid-transaction (release-point) visibility.
-            self.recorder.publish(state.index, key, kind, value,
-                                  early=state.status is _Status.RUNNING)
-        if kind == "abs":
-            allowed, aborted = seq.version_write(state.index, value=value)
-        else:
-            allowed, aborted = seq.version_write(state.index, delta=value)
-        state.published[key] = (kind, value)
-        self.ever_written[state.index].add(key)
-        self._handle_wake_and_abort(key, allowed, aborted, writer=state.index)
+    # ------------------------------------------------------------------
+    # Completion
+    # ------------------------------------------------------------------
 
-    def _handle_wake_and_abort(
-        self, key: StateKey, allowed: List[int], aborted: List[int],
-        writer: int = -1,
-    ) -> None:
-        for victim in aborted:
-            if self._merge_skip_abort(victim, key):
-                continue
-            self._abort(victim, key, writer=writer)
-        seq = self.sequences.sequence(key)
-        for index in sorted(set(allowed) | set(aborted)):
-            target = self.states[index]
-            if target.status in (_Status.WAITING,):
-                if seq.resolve_read(index).ready:
-                    became_ready = self.locks.grant(index, key)
-                    if became_ready or self.locks.is_ready(index):
-                        if target.status is _Status.WAITING:
-                            target.status = _Status.READY
-                            self.queue.push(index)
-                            if self.obs is not None:
-                                now = self.loop.now
-                                self.obs.version_wait_end(
-                                    now, index, key=key, granted_by=writer)
-                                self.obs.tx_ready(
-                                    now, index, attempt=target.attempts + 1)
-                            self._schedule_dispatch()
-            else:
-                self.locks.grant(index, key)
+    def _complete(self, state: _TxState, result: TxResult) -> None:
+        state.pending_entry = None
+        if self.merges is not None:
+            stale = self._merge_deferred_invalid(state)
+            if stale is not None:
+                # A deferred merge recheck never settled (or settled stale):
+                # this attempt must not commit.  Abort it like any other
+                # conflict; the generator is already exhausted.
+                self._abort(state.index, stale)
+                return
+        self.pool.release(state.thread, self.loop.now)
+        state.thread = None
+        executed = 0
+        if state.meter is not None:
+            executed = state.meter.steps_executed
+            state.meter = None
+        self._finish(state, result, executed)
 
     def _merge_deferred_invalid(self, state: _TxState) -> Optional[StateKey]:
         """Settle any merge records whose abort was deferred while their
@@ -1048,433 +1538,3 @@ class _BlockRun:
             if not self._merge_outcome_stable(rec, view[0]):
                 return rec.key
         return None
-
-    def _merge_skip_abort(self, victim: int, key: StateKey) -> bool:
-        """Outcome-stable abort tolerance (the merge algebra's payoff).
-
-        When a late-arriving version of a declared merge key would abort a
-        reader, re-evaluate every guard that reader ran on the key against
-        the drifted base: if all verdicts are unchanged the reader's
-        behaviour is byte-identical (the value feeds nothing else under the
-        declaration), so the abort is skipped outright — no re-execution,
-        no attempt bump.  Any unfinished earlier writer (view is None) or
-        operand-less record falls back to the normal abort path.
-        """
-        if self.merges is None:
-            return False
-        spec = self.merges.lookup(key)
-        if spec is None or not spec.op.delta_encodable:
-            return False
-        state = self.states[victim]
-        records = [r for r in state.read_log if r.key == key and r.registered]
-        if not records:
-            return False
-        seq = self.sequences.get(key)
-        if seq is None:
-            return False
-        running = state.status is _Status.RUNNING
-        view = seq.current_read_view(victim, self.snapshot.get(key))
-        deferred: List[_ReadRecord] = []
-        for rec in records:
-            if rec.merge_operand is None:
-                if running:
-                    # The paired write hasn't happened yet, so the operand
-                    # is unknown; defer the verdict check to the write's
-                    # attach hook (or the completion hook).
-                    deferred.append(rec)
-                    continue
-                return False
-            if view is None:
-                return False
-            if view[0] != rec.base and not self._merge_outcome_stable(rec, view[0]):
-                return False
-        for rec in deferred:
-            rec.merge_recheck = True
-        self.merge_tolerated += 1
-        if self.obs is not None:
-            self.obs.merge_tolerated(self.loop.now, victim, key)
-        return True
-
-    # ------------------------------------------------------------------
-    # Completion
-    # ------------------------------------------------------------------
-
-    def _complete(self, state: _TxState, result: TxResult) -> None:
-        now = self.loop.now
-        state.pending_entry = None
-        if self.merges is not None:
-            stale = self._merge_deferred_invalid(state)
-            if stale is not None:
-                # A deferred merge recheck never settled (or settled stale):
-                # this attempt must not commit.  Abort it like any other
-                # conflict; the generator is already exhausted.
-                self._abort(state.index, stale)
-                return
-        self.pool.release(state.thread, now)
-        state.thread = None
-        state.status = _Status.DONE
-        state.result = result
-        self.per_tx[state.index].end_time = now
-        self.per_tx[state.index].gas_used = result.gas_used
-        self.per_tx[state.index].succeeded = result.success
-        self.per_tx[state.index].attempts = state.attempts
-        if state.meter is not None:
-            self.per_tx[state.index].instructions_executed += state.meter.steps_executed
-            state.meter = None
-        self.per_tx[state.index].instructions_final = result.steps
-
-        if result.success:
-            for key, value in state.w_abs.items():
-                if state.published.get(key) != ("abs", value):
-                    self._publish(state, key, "abs", value)
-            for key, delta in state.w_delta.items():
-                if state.published.get(key) != ("delta", delta):
-                    self._publish(state, key, "delta", delta)
-        else:
-            self._retract_published(state)
-        if self.obs is not None:
-            self.obs.tx_end(now, state.index, attempt=state.attempts,
-                            success=result.success,
-                            gas_used=result.gas_used)
-        if self.recorder is not None:
-            self.recorder.complete(state.index, attempt=state.attempts,
-                                   success=result.success,
-                                   gas_used=result.gas_used)
-
-        # Predicted writes that never materialised are marked skipped so
-        # transactions waiting on them unblock (divergent path / failure).
-        # The same applies to keys this transaction published in *earlier
-        # attempts*: an entry inserted on the fly back then may now be a
-        # write the current path never performs.
-        pending_write_keys = set(self.ever_written[state.index])
-        for key, access_type in state.csag.per_key.items():
-            if self._declared(access_type) is not AccessType.READ:
-                pending_write_keys.add(key)
-        for key in pending_write_keys:
-            if key in state.published:
-                continue
-            seq = self.sequences.sequence(key)
-            entry = seq.entry(state.index)
-            if entry is not None and entry.has_write_part and not entry.write_finished:
-                allowed, _ = seq.version_write(state.index, skipped=True)
-                self._handle_wake_and_abort(key, allowed, [], writer=state.index)
-        self._schedule_dispatch()
-
-    # ------------------------------------------------------------------
-    # Abort (Algorithm 4)
-    # ------------------------------------------------------------------
-
-    def _abort(self, index: int, trigger_key: StateKey, writer: int = -1) -> None:
-        state = self.states[index]
-        now = self.loop.now
-        if state.aborting:
-            # A suffix-retraction cascade circled back to the transaction
-            # being aborted.  Flag it — the outer call checks the flag and
-            # degrades to a full restart — and let that call finish.
-            state.abort_reentered = True
-            return
-        if self.recorder is not None:
-            self.recorder.abort(index, attempt=max(state.attempts, 1),
-                                key=trigger_key)
-        if self.obs is not None:
-            self.obs.tx_abort(now, index, attempt=max(state.attempts, 1),
-                              key=trigger_key, writer=writer)
-
-        # Revalidation fast path: a completed successful attempt whose whole
-        # read log still resolves to the same values remains serializable —
-        # reinstate its result as a fresh attempt with zero re-execution.
-        if (
-            self.ex.enable_revalidation
-            and state.status is _Status.DONE
-            and state.result is not None
-            and state.result.success
-            and self._try_revalidate(state)
-        ):
-            return
-
-        if state.resume_from is not None:
-            # Aborted again while parked for a resume: the plan below is
-            # recomputed against the (already truncated) log, so just drop
-            # the stale one.
-            state.resume_from = None
-
-        state.aborting = True
-        state.abort_reentered = False
-        try:
-            if state.status is _Status.READY:
-                self.queue.remove(index)
-            elif state.status is _Status.RUNNING:
-                if state.pending_entry is not None:
-                    self.loop.cancel(state.pending_entry)
-                    state.pending_entry = None
-                if state.generator is not None:
-                    state.generator.close()
-                    state.generator = None
-                if state.meter is not None:
-                    self.per_tx[index].instructions_executed += state.meter.steps_executed
-                    state.meter = None
-                self.pool.release(state.thread, now)
-                state.thread = None
-            elif state.status is _Status.DONE:
-                state.result = None
-            elif state.status is _Status.WAITING:
-                # Nothing consumed yet in the *current* attempt; but a previous
-                # attempt's reads may still be recorded — fall through to reset.
-                pass
-
-            state.status = _Status.WAITING
-            self.per_tx[index].aborted_times += 1
-
-            plan = None
-            if self.ex.enable_checkpoint_resume and state.checkpoints:
-                plan = self._plan_resume(state)
-            if plan is not None:
-                # Retract only what came after the checkpoint; if the
-                # cascade came back to bite us, or shifted the kept prefix,
-                # fall back to retracting everything.
-                self._retract_suffix(state, plan)
-                if state.abort_reentered or self._prefix_invalid(state, plan):
-                    plan = None
-            if plan is not None:
-                self._arm_resume(state, plan)
-            else:
-                # Full restart: retract whatever this transaction made
-                # visible (cascades) and clear its recorded reads so future
-                # writes don't re-abort a transaction already re-executing.
-                self._retract_published(state)
-                for key in state.registered_reads:
-                    seq = self.sequences.get(key)
-                    if seq is not None:
-                        entry = seq.entry(index)
-                        if entry is not None:
-                            entry.reset_read()
-                state.reset_attempt()
-        finally:
-            state.aborting = False
-
-        self.locks.release_all(index)
-        if self.locks.refresh(index, self.sequences):
-            state.status = _Status.READY
-            self.queue.push(index)
-            if self.obs is not None:
-                self.obs.tx_ready(now, index, attempt=state.attempts + 1)
-            self._schedule_dispatch()
-        elif self.obs is not None:
-            keys, blockers = self._wait_info(index)
-            self.obs.version_wait_begin(now, index, keys=keys,
-                                        blockers=blockers)
-
-    # ------------------------------------------------------------------
-    # Incremental re-execution: validation, revalidation, resume
-    # ------------------------------------------------------------------
-
-    def _validate_reads(
-        self, state: _TxState, limit: int
-    ) -> Tuple[Optional[int], List[int]]:
-        """Re-resolve the first ``limit`` read-log records against the live
-        access sequences.  Returns the index of the first record whose value
-        changed (or None when every record still holds) plus the re-resolved
-        version for each record of the valid prefix."""
-        versions: List[int] = []
-        for i, rec in enumerate(state.read_log[:limit]):
-            if rec.blind:
-                # Blind increment reads are value-insensitive (_ReadRecord):
-                # the driver publishes the delta, not the absolute.
-                versions.append(rec.version_from)
-                continue
-            seq = self.sequences.get(rec.key)
-            if seq is None:
-                return i, versions
-            view = seq.current_read_view(state.index, self.snapshot.get(rec.key))
-            if view is None:
-                return i, versions
-            if view[0] != rec.base and not self._merge_outcome_stable(rec, view[0]):
-                return i, versions
-            versions.append(view[1])
-        return None, versions
-
-    @staticmethod
-    def _merge_outcome_stable(rec: _ReadRecord, new_base: int) -> bool:
-        """Whether a merge record tolerates its base drifting to
-        ``new_base``: the declared guard must reach the same verdict on the
-        observed value it would now see.  Records without an operand (the
-        guard failed, or the op never ran) demand exact equality."""
-        if rec.merge_spec is None or rec.merge_operand is None:
-            return False
-        old_value = (rec.base + rec.merge_own) % WORD_MOD
-        new_value = (new_base + rec.merge_own) % WORD_MOD
-        return (rec.merge_spec.outcome(old_value, rec.merge_operand)
-                == rec.merge_spec.outcome(new_value, rec.merge_operand))
-
-    def _rerecord_reads(
-        self, state: _TxState, records: List[_ReadRecord], versions: List[int]
-    ) -> None:
-        """Re-anchor the recorded read dependencies to the versions they
-        resolve to *now* (record_read keeps the oldest version, so the stale
-        registration must be reset first)."""
-        for key in {r.key for r in records if r.registered}:
-            seq = self.sequences.get(key)
-            if seq is not None:
-                entry = seq.entry(state.index)
-                if entry is not None:
-                    entry.reset_read()
-        for rec, version in zip(records, versions):
-            if rec.registered:
-                self.sequences.sequence(rec.key).record_read(state.index, version)
-                rec.version_from = version
-
-    def _reemit_reads(
-        self, state: _TxState, records: List[_ReadRecord], versions: List[int]
-    ) -> None:
-        """Emit the kept reads into the trace under the new attempt number so
-        the serializability oracle sees the attempt's true dependencies."""
-        if self.recorder is None:
-            return
-        for rec, version in zip(records, versions):
-            if rec.blind:
-                self.recorder.read(state.index, rec.key, version, rec.base,
-                                   attempt=state.attempts, blind=True)
-            else:
-                early = (version >= 0
-                         and self.states[version].status is not _Status.DONE)
-                self.recorder.read(state.index, rec.key, version, rec.base,
-                                   attempt=state.attempts, early=early,
-                                   speculative=rec.speculative)
-
-    def _try_revalidate(self, state: _TxState) -> bool:
-        first_invalid, versions = self._validate_reads(state, len(state.read_log))
-        if first_invalid is not None:
-            return False
-        state.attempts += 1
-        per = self.per_tx[state.index]
-        per.attempts = state.attempts
-        per.aborted_times += 1
-        per.revalidation_hits += 1
-        skipped = state.result.steps
-        per.instructions_skipped += skipped
-        self._rerecord_reads(state, state.read_log, versions)
-        if self.obs is not None:
-            self.obs.revalidation_hit(self.loop.now, state.index,
-                                      attempt=state.attempts,
-                                      instructions_skipped=skipped)
-        self._reemit_reads(state, state.read_log, versions)
-        if self.recorder is not None:
-            self.recorder.complete(state.index, attempt=state.attempts,
-                                   success=True,
-                                   gas_used=state.result.gas_used)
-        return True
-
-    def _plan_resume(self, state: _TxState) -> Optional[_ResumePlan]:
-        """Find the newest checkpoint at or before the first invalidated
-        read; everything up to it is salvageable."""
-        first_invalid, _ = self._validate_reads(state, len(state.read_log))
-        j = first_invalid if first_invalid is not None else len(state.read_log)
-        usable = [ck for ck in state.checkpoints if ck.read_index <= j]
-        if not usable:
-            return None
-        return _ResumePlan(checkpoint=usable[-1], first_invalid=j)
-
-    def _prefix_invalid(self, state: _TxState, plan: _ResumePlan) -> bool:
-        first_invalid, versions = self._validate_reads(
-            state, plan.checkpoint.read_index)
-        if first_invalid is not None:
-            return True
-        plan.prefix_versions = versions
-        return False
-
-    def _retract_suffix(self, state: _TxState, plan: _ResumePlan) -> None:
-        """Retract only the writes published after ``plan.checkpoint``.
-
-        A key the kept prefix had already published (with an older value)
-        gets that value reinstated — retract then republish — so prefix
-        readers can revalidate against the identical value instead of
-        cascading into full restarts.
-        """
-        keep = plan.checkpoint.published
-        published = list(state.published.items())
-        state.published = dict(keep)
-        for key, current in published:
-            kept = keep.get(key)
-            if kept == current:
-                continue  # unchanged since the checkpoint: leave it in place
-            seq = self.sequences.get(key)
-            if seq is None:
-                continue
-            victims = seq.retract(state.index)
-            if self.recorder is not None:
-                self.recorder.retract(
-                    state.index, key,
-                    tuple(v for v in victims if v != state.index),
-                )
-            allowed: List[int] = []
-            aborted: List[int] = []
-            if kept is not None:
-                kind, value = kept
-                if self.recorder is not None:
-                    self.recorder.publish(state.index, key, kind, value,
-                                          early=True)
-                if kind == "abs":
-                    allowed, aborted = seq.version_write(state.index, value=value)
-                else:
-                    allowed, aborted = seq.version_write(state.index, delta=value)
-            for victim in victims:
-                if victim != state.index and not self._merge_skip_abort(victim, key):
-                    self._abort(victim, key, writer=state.index)
-            if kept is not None:
-                self._handle_wake_and_abort(key, allowed, aborted,
-                                            writer=state.index)
-
-    def _arm_resume(self, state: _TxState, plan: _ResumePlan) -> None:
-        """Park the transaction with a restored checkpoint image; the next
-        _start resumes the VM instead of re-executing from scratch."""
-        ck = plan.checkpoint
-        index = state.index
-        # Reads that exist only in the discarded suffix lose their recorded
-        # dependency; keys also read in the kept prefix keep their entry
-        # (the prefix re-record at start refreshes its version).
-        prefix_keys = {r.key for r in state.read_log[: ck.read_index]
-                       if r.registered}
-        for rec in state.read_log[ck.read_index:]:
-            if rec.registered and rec.key not in prefix_keys:
-                seq = self.sequences.get(rec.key)
-                if seq is not None:
-                    entry = seq.entry(index)
-                    if entry is not None:
-                        entry.reset_read()
-        del state.read_log[ck.read_index:]
-        for rec in state.read_log:
-            if rec.merge_operand is not None and rec.merge_attached_at > ck.read_index:
-                rec.merge_operand = None
-        state.checkpoints = [c for c in state.checkpoints
-                             if c.read_index <= ck.read_index]
-        # Restore the driver-side attempt image; the VM side is rebuilt by
-        # resume_transaction_program when the transaction next starts.
-        state.w_abs = dict(ck.w_abs)
-        state.w_delta = dict(ck.w_delta)
-        state.pending_blind = dict(ck.pending_blind)
-        state.registered_reads = dict(ck.registered_reads)
-        state.frame_stack = [(dict(a), dict(d), dict(r))
-                             for a, d, r in ck.frame_stack]
-        state.release_mode = ck.release_mode
-        state.speculative_reads = ck.speculative_reads
-        state.generator = None
-        state.meter = None
-        state.pending_entry = None
-        state.resume_from = plan
-
-    def _retract_published(self, state: _TxState) -> None:
-        published = list(state.published)
-        state.published = {}
-        for key in published:
-            seq = self.sequences.get(key)
-            if seq is None:
-                continue
-            victims = seq.retract(state.index)
-            if self.recorder is not None:
-                self.recorder.retract(
-                    state.index, key,
-                    tuple(v for v in victims if v != state.index),
-                )
-            for victim in victims:
-                if victim != state.index and not self._merge_skip_abort(victim, key):
-                    self._abort(victim, key, writer=state.index)

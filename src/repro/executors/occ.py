@@ -25,6 +25,7 @@ import heapq
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..core.errors import SchedulingError
 from ..core.types import StateKey
 from ..evm.environment import BlockContext
 from ..evm.events import (
@@ -146,7 +147,9 @@ class OCCExecutor(Executor):
         while needs_execution:
             rounds += 1
             if rounds > self.max_rounds:
-                raise RuntimeError("OCC failed to converge")
+                raise SchedulingError(
+                    f"{self.name} failed to converge in {self.max_rounds} "
+                    f"rounds; unfinished: {sorted(needs_execution)}")
 
             # Versions of the transactions being redone disappear for the
             # round (they are being recomputed).

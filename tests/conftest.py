@@ -1,4 +1,5 @@
-"""Shared fixtures: compiled contracts, funded chains, tx helpers."""
+"""Shared fixtures: compiled contracts, funded chains, tx helpers,
+scaled-down scenario blocks, and the real execution substrates."""
 
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ from repro.workload.contracts import (
     NFT_SOURCE,
     PAPER_EXAMPLE_SOURCE,
 )
+from repro.workload import Workload
+from repro.workload.scenarios import scenario_config
 
 TOKEN_SOURCE = """
 contract Token {
@@ -154,3 +157,46 @@ class ChainHarness:
 @pytest.fixture
 def chain():
     return ChainHarness()
+
+
+# Scenario presets scaled down far enough that the substrate and scheduling
+# suites stay in tier-1 time while still exercising every protocol path
+# (NeedKeys, blind deltas, aborts, cross-contract calls).
+SMALL = dict(users=40, erc20_tokens=2, dex_pools=2, nft_collections=2, icos=1)
+TXS = 16
+
+_cases = {}
+
+
+def scenario_case(scenario: str, txs: int = TXS, seed: int = 7):
+    """(workload, transactions) for one scaled-down scenario, cached."""
+    key = (scenario, txs, seed)
+    if key not in _cases:
+        workload = Workload(scenario_config(scenario, seed=seed, **SMALL))
+        _cases[key] = (workload, workload.transactions(txs))
+    return _cases[key]
+
+
+# Real pools are expensive to spawn (processes especially), so the two real
+# substrates are session-scoped and shared by every suite; each block run
+# builds its own dispatcher state, so sharing a pool never leaks state
+# between tests (worker code caches only ever grow, and contract code is
+# immutable).
+
+
+@pytest.fixture(scope="session")
+def threads_substrate():
+    from repro.substrate import get_substrate
+
+    substrate = get_substrate("threads", workers=3)
+    yield substrate
+    substrate.close()
+
+
+@pytest.fixture(scope="session")
+def processes_substrate():
+    from repro.substrate import get_substrate
+
+    substrate = get_substrate("processes", workers=3)
+    yield substrate
+    substrate.close()

@@ -23,9 +23,10 @@ from repro.core.errors import InvalidBlock
 from repro.executors import DMVCCExecutor, ScheduleReplayExecutor
 from repro.scheduling import BlockSidecar, LanePlanner, Schedule
 from repro.substrate import get_substrate
+from repro.verify.substrate import receipt_digest
 from repro.verify.trace import TraceRecorder
 
-from .conftest import receipt_digest, scenario_case
+from ..conftest import scenario_case
 
 SCENARIOS = ("mix", "abort_storm")
 THREADS = 3
@@ -170,6 +171,10 @@ class TestReplayUnderCrash:
                 threads=3)
             thread.join()
             assert replay.metrics.aborts == 0
+            # A dead worker is not a conflict: its lost tasks re-run with
+            # identical views and count only as crashes.
+            assert replay.metrics.worker_crashes >= 1
+            assert sum(t.aborted_times for t in replay.metrics.per_tx) == 0
             assert receipt_digest(replay) == receipt_digest(reference)
             assert replay.writes == reference.writes
         finally:

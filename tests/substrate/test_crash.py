@@ -7,12 +7,13 @@ import time
 
 import pytest
 
-from repro.executors import DMVCCExecutor
+from repro.executors import DAGExecutor, DMVCCExecutor
 from repro.obs import EventBus
 from repro.obs.events import WorkerCrashed
 from repro.substrate import get_substrate
+from repro.verify.substrate import receipt_digest
 
-from .conftest import receipt_digest, scenario_case
+from ..conftest import scenario_case
 
 
 @pytest.mark.slow
@@ -79,5 +80,36 @@ def test_block_survives_repeated_kills():
 
         assert execution.writes == reference.writes
         assert receipt_digest(execution) == receipt_digest(reference)
+    finally:
+        substrate.close()
+
+
+@pytest.mark.slow
+def test_dag_worker_kill_counts_crash_not_abort():
+    """DAG shares replay's fork-join loop: a lost task re-runs with its
+    identical view and is counted only as a crash, never as an abort."""
+    workload, txs = scenario_case("mix", txs=24)
+    args = (txs, workload.db.latest, workload.db.codes.code_of)
+    reference = DAGExecutor().execute_block(*args, threads=3)
+
+    substrate = get_substrate("processes", workers=3, worker_delay=0.01,
+                              task_timeout=30.0)
+    try:
+        pool = substrate.acquire(3)
+        executor = DAGExecutor().attach_substrate(substrate)
+
+        def killer():
+            time.sleep(0.04)
+            pool.kill_worker(1)
+
+        thread = threading.Thread(target=killer)
+        thread.start()
+        execution = executor.execute_block(*args, threads=3)
+        thread.join()
+
+        assert execution.metrics.worker_crashes >= 1
+        assert sum(t.aborted_times for t in execution.metrics.per_tx) == 0
+        assert receipt_digest(execution) == receipt_digest(reference)
+        assert execution.writes == reference.writes
     finally:
         substrate.close()

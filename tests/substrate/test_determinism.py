@@ -5,8 +5,9 @@ import os
 
 from repro.executors import DMVCCExecutor, OCCExecutor
 from repro.substrate import ENV_SUBSTRATE, ENV_WORKERS, get_substrate
+from repro.verify.substrate import receipt_digest
 
-from .conftest import receipt_digest, scenario_case
+from ..conftest import scenario_case
 
 
 def _full_digest(execution):

@@ -7,9 +7,10 @@ import pytest
 
 from repro.executors import DAGExecutor, DMVCCExecutor, OCCExecutor, SerialExecutor
 from repro.verify import check_block
+from repro.verify.substrate import receipt_digest
 from repro.workload.scenarios import SCENARIO_NAMES
 
-from .conftest import receipt_digest, scenario_case
+from ..conftest import scenario_case
 
 FACTORIES = {
     "serial": SerialExecutor,
